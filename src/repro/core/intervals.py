@@ -59,6 +59,24 @@ def union_overlap(
     )
 
 
+def intersect(
+    intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
+) -> List[Interval]:
+    """Portions of union(a) also covered by union(b)."""
+    result: List[Interval] = []
+    merged_b = merge(intervals_b)
+    index = 0
+    for start, end in merge(intervals_a):
+        while index < len(merged_b) and merged_b[index][1] <= start:
+            index += 1
+        probe = index
+        while probe < len(merged_b) and merged_b[probe][0] < end:
+            b_start, b_end = merged_b[probe]
+            result.append((max(start, b_start), min(end, b_end)))
+            probe += 1
+    return result
+
+
 def subtract(
     intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
 ) -> List[Interval]:

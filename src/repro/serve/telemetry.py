@@ -51,7 +51,8 @@ JSONL/CSV exports — feeds ``repro serve report`` and the
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -63,6 +64,7 @@ from typing import (
 )
 
 from .. import units
+from ..core.intervals import Interval, intersect, merge, subtract
 from ..obs.metrics import percentile
 from ..profiler.collector import Trace
 from .slo import RequestOutcome
@@ -89,6 +91,7 @@ OP_BASE_COMPONENT = {
     "token_d2h": "T",
     "prefill": "Q",
     "decode": "Q",
+    "fused_step": "Q",
     "sched": "D",
     "reattest": "recovery",
     # Model-parallel communication: TP all-reduces over secure peer
@@ -100,57 +103,6 @@ OP_BASE_COMPONENT = {
 
 class TelemetryError(ValueError):
     """Inconsistent telemetry capture (always a bug in the engine)."""
-
-
-Interval = Tuple[int, int]
-
-
-def _merged(intervals: Sequence[Interval]) -> List[Interval]:
-    """Sort and merge possibly-overlapping intervals; drops empties."""
-    merged: List[Interval] = []
-    for start, end in sorted(intervals):
-        if end <= start:
-            continue
-        if merged and start <= merged[-1][1]:
-            if end > merged[-1][1]:
-                merged[-1] = (merged[-1][0], end)
-        else:
-            merged.append((start, end))
-    return merged
-
-
-def _clip(merged: Sequence[Interval], start: int, end: int) -> List[Interval]:
-    """The parts of a sorted disjoint interval list inside [start, end)."""
-    if end <= start or not merged:
-        return []
-    out: List[Interval] = []
-    index = bisect_right([s for s, _ in merged], start) - 1
-    index = max(index, 0)
-    while index < len(merged):
-        s, e = merged[index]
-        if s >= end:
-            break
-        lo, hi = max(s, start), min(e, end)
-        if hi > lo:
-            out.append((lo, hi))
-        index += 1
-    return out
-
-
-def _subtract(base: Sequence[Interval], cut: Sequence[Interval]) -> List[Interval]:
-    """``base`` minus ``cut`` (both sorted disjoint lists)."""
-    out: List[Interval] = []
-    for s, e in base:
-        cursor = s
-        for cs, ce in cut:
-            if ce <= cursor or cs >= e:
-                continue
-            if cs > cursor:
-                out.append((cursor, cs))
-            cursor = max(cursor, ce)
-        if cursor < e:
-            out.append((cursor, e))
-    return out
 
 
 @dataclass(frozen=True)
@@ -271,86 +223,103 @@ def component_timeline(
     no op (engine idle, allocation prologue, drain epilogue) becomes
     ``other``.  Integer endpoints throughout, so clipping a request's
     lifetime against the result is exact.
-    """
-    recovery_ivs = _merged(
-        [(e.start_ns, e.end_ns) for e in trace.recoveries()]
-    )
-    kernel_ivs = _merged([(e.start_ns, e.end_ns) for e in trace.kernels()])
-    crypto_ivs = _merged(
-        [
-            (s.start_ns, s.end_ns)
-            for s in trace.spans
-            if s.attrs.get("crypto")
-        ]
-    )
-    launch_ivs = _merged(
-        [
-            (s.start_ns, s.end_ns)
-            for s in trace.spans
-            if s.name == "cudaLaunchKernel"
-        ]
-    )
-    refinements = (
-        ("recovery", recovery_ivs),
-        ("K", kernel_ivs),
-        ("E", crypto_ivs),
-        ("L", launch_ivs),
-    )
 
-    segments: List[Tuple[int, int, str]] = []
-    previous_end = 0
+    Near-linear: each refinement list is merged and keyed once, and an
+    op finds the intervals it touches with two bisections per list.
+    """
+    refinements = []
+    for component, intervals in (
+        ("recovery", ((e.start_ns, e.end_ns) for e in trace.recoveries())),
+        ("K", ((e.start_ns, e.end_ns) for e in trace.kernels())),
+        ("E", ((s.start_ns, s.end_ns) for s in trace.spans
+               if s.attrs.get("crypto"))),
+        ("L", ((s.start_ns, s.end_ns) for s in trace.spans
+               if s.name == "cudaLaunchKernel")),
+    ):
+        merged = merge(intervals)
+        refinements.append((
+            component,
+            merged,
+            [start for start, _ in merged],
+            [end for _, end in merged],
+        ))
+
+    timeline: List[Tuple[int, int, str]] = []
+    cursor = 0
     for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
-        if op.end_ns <= op.start_ns:
+        start, end = op.start_ns, op.end_ns
+        if end <= start:
             continue
-        if op.start_ns < previous_end:
-            raise TelemetryError(
-                f"overlapping engine ops at {op.start_ns} ns"
-            )
-        previous_end = op.end_ns
-        remainder: List[Interval] = [(op.start_ns, op.end_ns)]
-        for component, intervals in refinements:
-            hit: List[Interval] = []
-            for s, e in remainder:
-                hit.extend(_clip(intervals, s, e))
-            if not hit:
+        if start < cursor:
+            raise TelemetryError(f"overlapping engine ops at {start} ns")
+        if start > cursor:
+            timeline.append((cursor, start, "other"))
+        remainder: List[Interval] = [(start, end)]
+        segments: List[Tuple[int, int, str]] = []
+        for component, merged, starts, ends in refinements:
+            # The merged intervals ending after the op starts and
+            # starting before it ends.
+            touched = merged[
+                bisect_right(ends, start):bisect_left(starts, end)
+            ]
+            if not touched:
                 continue
-            segments.extend((s, e, component) for s, e in hit)
-            remainder = _subtract(remainder, hit)
+            hit = intersect(remainder, touched)
+            if hit:
+                segments.extend((s, e, component) for s, e in hit)
+                remainder = subtract(remainder, hit)
         base = OP_BASE_COMPONENT[op.kind]
         segments.extend((s, e, base) for s, e in remainder)
-
-    segments.sort()
-    filled: List[Tuple[int, int, str]] = []
-    cursor = 0
-    for start, end, component in segments:
-        if start > cursor:
-            filled.append((cursor, start, "other"))
-        filled.append((start, end, component))
+        segments.sort()
+        timeline.extend(segments)
         cursor = end
     if cursor < horizon_ns:
-        filled.append((cursor, horizon_ns, "other"))
-    return filled
+        timeline.append((cursor, horizon_ns, "other"))
+    return timeline
+
+
+#: Per component of a timeline: its segments' starts and ends, and its
+#: total length before each segment (int64 arrays, one entry more).
+_CumulativeIndex = Dict[str, Tuple[array, array, array]]
+
+
+def _cumulative_index(
+    timeline: Sequence[Tuple[int, int, str]],
+) -> _CumulativeIndex:
+    index: _CumulativeIndex = {}
+    for start, end, component in timeline:
+        entry = index.get(component)
+        if entry is None:
+            entry = index[component] = (
+                array("q"), array("q"), array("q", (0,))
+            )
+        starts, ends, before = entry
+        starts.append(start)
+        ends.append(end)
+        before.append(before[-1] + end - start)
+    return index
+
+
+def _covered_before(entry: Tuple[array, array, array], at: int) -> int:
+    """One component's length inside [0, at)."""
+    starts, ends, before = entry
+    k = bisect_right(starts, at) - 1
+    if k < 0:
+        return 0
+    return before[k] + min(at, ends[k]) - starts[k]
 
 
 def _window_components(
-    timeline: Sequence[Tuple[int, int, str]],
-    starts: Sequence[int],
-    lo: int,
-    hi: int,
+    index: _CumulativeIndex, lo: int, hi: int
 ) -> Dict[str, int]:
     """Sum the timeline per component over the window [lo, hi)."""
     totals: Dict[str, int] = {}
     if hi <= lo:
         return totals
-    index = max(bisect_right(starts, lo) - 1, 0)
-    while index < len(timeline):
-        start, end, component = timeline[index]
-        if start >= hi:
-            break
-        overlap = min(end, hi) - max(start, lo)
-        if overlap > 0:
-            totals[component] = totals.get(component, 0) + overlap
-        index += 1
+    for component, entry in index.items():
+        value = _covered_before(entry, hi) - _covered_before(entry, lo)
+        if value:
+            totals[component] = value
     return totals
 
 
@@ -447,8 +416,9 @@ def attribute_requests(
         horizon = max(horizon, op.end_ns)
     for outcome in outcomes:
         horizon = max(horizon, outcome.finish_ns)
-    timeline = component_timeline(telemetry.ops, trace, horizon)
-    starts = [start for start, _, _ in timeline]
+    index = _cumulative_index(
+        component_timeline(telemetry.ops, trace, horizon)
+    )
 
     attributions: List[RequestAttribution] = []
     for outcome in sorted(outcomes, key=lambda o: o.req_id):
@@ -460,7 +430,7 @@ def attribute_requests(
             components["queue"] = queue_end - outcome.arrival_ns
         if admitted is not None:
             for component, value in _window_components(
-                timeline, starts, queue_end, outcome.finish_ns
+                index, queue_end, outcome.finish_ns
             ).items():
                 components[component] = components.get(component, 0) + value
 
@@ -472,7 +442,7 @@ def attribute_requests(
                 ttft_components["queue"] = ttft_queue_end - outcome.arrival_ns
             if admitted is not None:
                 for component, value in _window_components(
-                    timeline, starts, min(queue_end, first), first
+                    index, min(queue_end, first), first
                 ).items():
                     ttft_components[component] = (
                         ttft_components.get(component, 0) + value

@@ -47,6 +47,19 @@ def test_subtract_none():
     assert intervals.subtract([(0, 10)], [(20, 30)]) == [(0, 10)]
 
 
+def test_intersect_clips_to_both():
+    assert intervals.intersect([(2, 7)], [(0, 4), (5, 9)]) == [(2, 4), (5, 7)]
+    assert intervals.intersect([(4, 9)], [(0, 4)]) == []
+    assert intervals.intersect([(0, 3), (5, 9)], [(2, 6)]) == [(2, 3), (5, 6)]
+
+
+def test_intersect_merges_its_inputs():
+    assert intervals.intersect([(5, 9), (0, 6)], [(8, 20), (1, 2)]) == [
+        (1, 2), (8, 9),
+    ]
+    assert intervals.intersect([(0, 10)], []) == []
+
+
 interval_list = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=1000),
@@ -84,3 +97,17 @@ def test_property_merge_is_disjoint_sorted(a):
         assert e1 < s2
     for s, e in merged:
         assert s < e
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=interval_list, b=interval_list)
+def test_property_intersect_and_subtract_partition(a, b):
+    # A n B and A \ B are disjoint, sorted, and together cover A.
+    inter = intervals.intersect(a, b)
+    assert intervals.total_length(inter) == intervals.union_overlap(a, b)
+    for (s1, e1), (s2, e2) in zip(inter, inter[1:]):
+        assert e1 < s2
+    assert all(s < e for s, e in inter)
+    rest = intervals.subtract(a, b)
+    assert intervals.merge(inter + rest) == intervals.merge(a)
+    assert intervals.union_overlap(inter, rest) == 0

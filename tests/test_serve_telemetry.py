@@ -3,20 +3,29 @@ exact per-request CC-tax conservation, forensics consistency with the
 verdict, per-request trace tracks, and byte-deterministic exports."""
 
 import json
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
+from repro.core.intervals import intersect, merge, subtract
 from repro.faults import FaultPlan
+from repro.figures.ext_fault_serving import fault_plan_for
 from repro.obs import summary
+from repro.optim import parse_pipeline
 from repro.profiler.importers import from_chrome_trace
 from repro.serve import (
     ATTRIBUTION_COMPONENTS,
     EngineOp,
+    RequestOutcome,
     ScenarioSpec,
     ServeTelemetry,
     TelemetryError,
+    attribute_requests,
     component_timeline,
     forensics_diff,
     latency_percentiles,
@@ -28,7 +37,12 @@ from repro.serve import (
     tenant_rollup,
     verdict_json,
 )
-from repro.serve.telemetry import _clip, _merged, _subtract
+from repro.serve import telemetry
+from repro.serve.telemetry import (
+    OP_BASE_COMPONENT,
+    _cumulative_index,
+    _window_components,
+)
 
 QUICK = ScenarioSpec(rate_rps=16.0, duration_ns=units.NS_PER_SEC // 2)
 
@@ -72,13 +86,14 @@ def base_run():
 
 
 def test_interval_helpers():
-    assert _merged([(5, 9), (0, 3), (2, 4), (7, 7)]) == [(0, 4), (5, 9)]
-    assert _clip([(0, 4), (5, 9)], 2, 7) == [(2, 4), (5, 7)]
-    assert _clip([(0, 4)], 4, 9) == []
-    assert _subtract([(0, 10)], [(2, 4), (6, 8)]) == [
+    # The attribution's interval algebra is repro.core.intervals.
+    assert merge([(5, 9), (0, 3), (2, 4), (7, 7)]) == [(0, 4), (5, 9)]
+    assert intersect([(2, 7)], [(0, 4), (5, 9)]) == [(2, 4), (5, 7)]
+    assert intersect([(4, 9)], [(0, 4)]) == []
+    assert subtract([(0, 10)], [(2, 4), (6, 8)]) == [
         (0, 2), (4, 6), (8, 10),
     ]
-    assert _subtract([(0, 10)], [(0, 10)]) == []
+    assert subtract([(0, 10)], [(0, 10)]) == []
 
 
 def test_component_timeline_gap_fill_and_overlap_rejection():
@@ -113,6 +128,180 @@ def test_unknown_op_kind_rejected():
     with pytest.raises(TelemetryError, match="unknown engine op"):
         with tel.op("warp_drive"):
             pass
+
+
+# -- linear attribution against a brute-force reference -------------------
+
+#: Refinement priority inside an op, highest first.
+REFINEMENTS = ("recovery", "K", "E", "L")
+HORIZON = 48
+
+
+def _event(interval):
+    return SimpleNamespace(start_ns=interval[0], end_ns=interval[1])
+
+
+def _fake_trace(refinements):
+    """The four refinement streams, plus a span neither crypto nor a
+    launch that the attribution must ignore."""
+    spans = [SimpleNamespace(start_ns=0, end_ns=HORIZON, name="cudaMemcpy",
+                             attrs={})]
+    spans += [SimpleNamespace(start_ns=s, end_ns=e, name="aes_gcm",
+                              attrs={"crypto": True})
+              for s, e in refinements["E"]]
+    spans += [SimpleNamespace(start_ns=s, end_ns=e, name="cudaLaunchKernel",
+                              attrs={})
+              for s, e in refinements["L"]]
+    return SimpleNamespace(
+        recoveries=lambda: [_event(iv) for iv in refinements["recovery"]],
+        kernels=lambda: [_event(iv) for iv in refinements["K"]],
+        spans=spans,
+    )
+
+
+def _paint(ops, refinements):
+    """Per-nanosecond reference: recovery > K > E > L > op base > other."""
+    painted = ["other"] * HORIZON
+    for op in ops:
+        for t in range(op.start_ns, op.end_ns):
+            painted[t] = next(
+                (c for c in REFINEMENTS
+                 if any(s <= t < e for s, e in refinements[c])),
+                OP_BASE_COMPONENT[op.kind],
+            )
+    return painted
+
+
+_point = st.integers(min_value=0, max_value=HORIZON)
+_interval = st.tuples(_point, _point).map(lambda t: (min(t), max(t)))
+
+
+@st.composite
+def _attribution_case(draw):
+    # Consecutive pairs of sorted cut points: non-overlapping ops, some
+    # touching, some empty.
+    cuts = sorted(draw(st.lists(_point, max_size=16)))
+    ops = [
+        EngineOp(draw(st.sampled_from(sorted(OP_BASE_COMPONENT))), s, e)
+        for s, e in zip(cuts[::2], cuts[1::2])
+    ]
+    refinements = {
+        c: draw(st.lists(_interval, max_size=5)) for c in REFINEMENTS
+    }
+    windows = draw(st.lists(_interval, max_size=6))
+    return draw(st.permutations(ops)), refinements, windows
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_attribution_case())
+def test_attribution_matches_per_nanosecond_painter(case):
+    ops, refinements, windows = case
+    timeline = component_timeline(ops, _fake_trace(refinements), HORIZON)
+    cursor = 0
+    for start, end, _ in timeline:
+        assert start == cursor < end
+        cursor = end
+    assert cursor == HORIZON
+    expected = _paint(ops, refinements)
+    assert [c for s, e, c in timeline for _ in range(s, e)] == expected
+    index = _cumulative_index(timeline)
+    for lo, hi in windows:
+        totals = _window_components(index, lo, hi)
+        assert totals == dict(Counter(expected[lo:hi]))
+        assert sum(totals.values()) == hi - lo
+
+
+class _BisectCounter:
+    """Counts the attribution's bisections and the distinct key lists
+    they search; a key list rebuilt per call trips the bound at once."""
+
+    MAX_KEY_LISTS = 32
+
+    def __init__(self, monkeypatch):
+        self.calls = 0
+        self.key_lists = {}
+        for name in ("bisect_left", "bisect_right"):
+            monkeypatch.setattr(
+                telemetry, name, self._counted(getattr(telemetry, name))
+            )
+
+    def _counted(self, real):
+        def counted(keys, x):
+            self.calls += 1
+            # Holding each list keeps its id unique.
+            self.key_lists[id(keys)] = keys
+            assert len(self.key_lists) <= self.MAX_KEY_LISTS, (
+                "bisect keys rebuilt per call"
+            )
+            return real(keys, x)
+
+        return counted
+
+
+def _synthetic_attribution(ops_count, monkeypatch):
+    """Attribute a trace of ``ops_count`` ops and as many kernels."""
+    kinds = sorted(OP_BASE_COMPONENT)
+    tel = ServeTelemetry()
+    tel.ops = [
+        EngineOp(kinds[i % len(kinds)], 10 * i, 10 * i + 8)
+        for i in range(ops_count)
+    ]
+    trace = SimpleNamespace(
+        recoveries=lambda: [_event((10 * i, 10 * i + 1))
+                            for i in range(0, ops_count, 50)],
+        kernels=lambda: [_event((10 * i + 2, 10 * i + 5))
+                         for i in range(ops_count)],
+        spans=[SimpleNamespace(start_ns=10 * i + 4, end_ns=10 * i + 7,
+                               name="cudaLaunchKernel", attrs={})
+               for i in range(0, ops_count, 3)],
+    )
+    outcomes = []
+    for req_id in range(ops_count // 100):
+        arrival = 1000 * req_id
+        tel.admitted(req_id, arrival + 3)
+        outcomes.append(RequestOutcome(
+            req_id=req_id, tenant="t", arrival_ns=arrival,
+            first_token_ns=arrival + 2000, finish_ns=arrival + 7000,
+            prompt_tokens=1, gen_tokens=2,
+        ))
+    counter = _BisectCounter(monkeypatch)
+    attributions = attribute_requests(outcomes, tel, trace)
+    assert len(attributions) == len(outcomes)
+    for a in attributions:
+        assert sum(a.components.values()) == a.e2e_ns
+    monkeypatch.undo()
+    return counter
+
+
+def test_attribution_work_grows_linearly(monkeypatch):
+    small = _synthetic_attribution(10_000, monkeypatch)
+    big = _synthetic_attribution(20_000, monkeypatch)
+    # Keys are built once per refinement list and per component, not
+    # per op; the number of bisections is linear in ops + requests.
+    assert len(big.key_lists) == len(small.key_lists)
+    assert big.calls <= 2 * small.calls
+    assert big.calls <= 16 * (20_000 + 20_000 // 100)
+
+
+@pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize(
+    "pipeline", ["fusion", "fusion+overlap:2+batch:4+staging"]
+)
+def test_fused_step_attribution(pipeline, faulty):
+    spec, tuning = parse_pipeline(pipeline).apply(QUICK)
+    config = SystemConfig.confidential()
+    if faulty:
+        config = config.replace(faults=fault_plan_for(0.05))
+    _, plain = run_scenario(spec, config, tuning=tuning)
+    trace, result = run_scenario(spec, config, telemetry=True, tuning=tuning)
+    assert verdict_json(plain) == verdict_json(result)
+    assert any(
+        s.layer == "serve.op" and s.name == "fused_step" for s in trace.spans
+    )
+    for a in result.attributions:
+        assert sum(a.components.values()) == a.e2e_ns
+        if a.ttft_ns is not None:
+            assert sum(a.ttft_components.values()) == a.ttft_ns
 
 
 # -- the tentpole invariants ----------------------------------------------
