@@ -634,6 +634,24 @@ def _build_serve_spec(args):
     )
 
 
+def _write_serve_outputs(args, payload: str, trace, attributions) -> int:
+    """The verdict, trace and per-request files ``repro serve`` asked
+    for, then the verdict on stdout with ``--json``."""
+    if args.verdict:
+        with open(args.verdict, "w") as handle:
+            handle.write(payload + "\n")
+        print(f"verdict -> {args.verdict}")
+    if args.trace:
+        with open(args.trace, "w") as handle:
+            handle.write(trace.to_chrome_trace())
+        print(f"chrome trace -> {args.trace}")
+    if args.requests_out:
+        _write_requests(attributions, args.requests_out)
+    if args.json:
+        print(payload)
+    return 0
+
+
 def _write_requests(attributions, path: str) -> None:
     """Per-request export: CSV by extension, JSONL otherwise."""
     from .serve import requests_csv, requests_jsonl
@@ -657,7 +675,7 @@ def _validate_serve_args(args) -> None:
     Contradictions exit 2 with the usage line, the same contract as
     the argparse-level value validators.
     """
-    from .serve.parallelism import MAX_WORLD_SIZE, TP_DEGREES
+    from .serve import ClusterSpec
 
     error = args._serve_parser.error
     faults = bool(args.fault_plan) or args.fault_rate is not None
@@ -680,16 +698,12 @@ def _validate_serve_args(args) -> None:
     # Cluster topology (serve only; `serve report` has no cluster flags).
     replicas = getattr(args, "replicas", 1)
     tp = getattr(args, "tp", 1)
-    pp = getattr(args, "pp", 1)
     autoscale = getattr(args, "autoscale_max", 0)
-    if tp not in TP_DEGREES:
-        error(f"--tp must be one of {TP_DEGREES}, got {tp}")
-    if tp * pp > MAX_WORLD_SIZE:
-        error(f"--tp x --pp must fit the {MAX_WORLD_SIZE}-GPU node, "
-              f"got {tp * pp}")
-    if autoscale and autoscale < replicas:
-        error(f"--autoscale-max ({autoscale}) is a ceiling and must be "
-              f">= --replicas ({replicas})")
+    try:
+        ClusterSpec(replicas=replicas, tp=tp, pp=getattr(args, "pp", 1),
+                    autoscale_max=autoscale).validate()
+    except ValueError as exc:
+        error(str(exc))
     if getattr(args, "link_policy", "naive") != "naive" and tp == 1:
         error("--link-policy only shapes tp>1 peer links; add --tp 2/4/8")
     if (getattr(args, "placement", "round-robin") != "round-robin"
@@ -763,20 +777,9 @@ def _cmd_serve_cluster(args) -> int:
             f"  replica {outcome.replica_id}: {outcome.requests} reqs  "
             f"goodput {outcome.report['goodput_rps']:.2f} rps{comm}"
         )
-    payload = cluster_verdict_json(result)
-    if args.verdict:
-        with open(args.verdict, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"verdict -> {args.verdict}")
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            handle.write(traces[0].to_chrome_trace())
-        print(f"chrome trace -> {args.trace}")
-    if args.requests_out:
-        _write_requests(result.attributions, args.requests_out)
-    if args.json:
-        print(payload)
-    return 0
+    return _write_serve_outputs(
+        args, cluster_verdict_json(result), traces.get(0), result.attributions
+    )
 
 
 def cmd_serve(args) -> int:
@@ -832,20 +835,9 @@ def cmd_serve(args) -> int:
         f"tpot p50/p99 {report['tpot_ms']['p50']:.2f}/"
         f"{report['tpot_ms']['p99']:.2f} ms"
     )
-    payload = verdict_json(result)
-    if args.verdict:
-        with open(args.verdict, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"verdict -> {args.verdict}")
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            handle.write(trace.to_chrome_trace())
-        print(f"chrome trace -> {args.trace}")
-    if args.requests_out:
-        _write_requests(result.attributions, args.requests_out)
-    if args.json:
-        print(payload)
-    return 0
+    return _write_serve_outputs(
+        args, verdict_json(result), trace, result.attributions
+    )
 
 
 def cmd_serve_report(args) -> int:

@@ -36,17 +36,17 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..config import SystemConfig
-from ..llm.backends import VLLM_STEP_SCHED_NS
+from ..llm.backends import VLLM_STEP_SCHED_NS, VLLMBackend
+from ..llm.config import BF16
 from ..obs.metrics import percentile
 from ..sim import Simulator
 from ..tdx import GuestContext
 from ..tdx.spdm import attest_gpu
 from .arrivals import ServeRequest, generate_arrivals, stream_digest
 from .parallelism import ParallelismSpec
-from .scenario import ScenarioSpec, fault_plan_summary
-from .scheduler import EngineResult, ServingEngine
+from .scenario import ScenarioSpec, _run_replica, fault_plan_summary
+from .scheduler import SERVE_MODEL, EngineResult
 from .slo import RequestOutcome, build_report
-from .telemetry import ServeTelemetry, attribute_requests, record_telemetry_spans
 
 PLACEMENTS = ("round-robin", "least-loaded", "kv-affinity")
 
@@ -176,12 +176,7 @@ class _Router:
         # Roofline service estimate, from the same backend the engines
         # use: whole-prompt prefill + per-token decode cadence at a
         # nominal batch of 8.
-        engine = ServingEngine(
-            scheduler_config=spec.scenario.scheduler_config(),
-            kv_budget_bytes=spec.scenario.kv_budget_bytes,
-            block_tokens=spec.scenario.block_tokens,
-        )
-        self._backend = engine.backend
+        self._backend = VLLMBackend(model=SERVE_MODEL, quant=BF16)
         decode = self._backend.decode_kernel(config, 8, 256.0)
         self._decode_step_ns = decode.fixed_duration_ns + VLLM_STEP_SCHED_NS
         # Replica state.
@@ -389,20 +384,13 @@ def run_cluster(
     elapsed_ns = 0
     for rid in sorted(per_replica):
         replica_requests = per_replica[rid]
-        engine = ServingEngine(
-            scheduler_config=scenario.scheduler_config(),
-            kv_budget_bytes=scenario.kv_budget_bytes,
-            block_tokens=scenario.block_tokens,
-            targets=scenario.slo_targets(),
-            degrade=scenario.degrade(),
-            parallelism=par,
-        )
         label = scenario.label(config)
         if spec.cluster_capable:
             label = f"{label}-rep{rid}"
-        tel = ServeTelemetry() if telemetry else None
-        trace, result = engine.run(
-            config, replica_requests, label=label, telemetry=tel
+        # Telemetry runs have one replica, so its attributions are kept.
+        trace, result, attributions = _run_replica(
+            scenario, config, replica_requests, label, telemetry,
+            parallelism=par,
         )
         traces[rid] = trace
         # Latencies are charged from the *original* arrival, so router
@@ -432,9 +420,6 @@ def run_cluster(
         all_outcomes.extend(outcomes)
         all_rejected.extend(rejected)
         elapsed_ns = max(elapsed_ns, result.elapsed_ns)
-        if tel is not None:
-            attributions = attribute_requests(result.outcomes, tel, trace)
-            record_telemetry_spans(attributions, tel.ops, trace)
 
     if len(replicas) > 1:
         # Deterministic merge order; with one replica the engine order

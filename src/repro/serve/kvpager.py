@@ -108,10 +108,6 @@ class KVPager:
         return self.cache.block_tokens
 
     @property
-    def capacity_tokens(self) -> int:
-        return self.cache.num_blocks * self.cache.block_tokens
-
-    @property
     def free_blocks(self) -> int:
         return self.cache.free_blocks
 

@@ -6,9 +6,10 @@ peer links under model parallelism.  A :class:`ParallelismSpec` pins a
 replica's shape — tensor-parallel degree (ring all-reduces over
 :mod:`repro.multigpu` secure links after every layer), pipeline stages
 (activation handoffs through the CC staging path), and the link
-metadata policy paid when CC is on.  The default ``tp=1, pp=1`` spec is
-inert by construction: the engine takes every single-GPU fast path and
-its output stays byte-identical to the pre-cluster engine.
+metadata policy paid when CC is on.  The default ``tp=1, pp=1`` spec
+shards no kernel, runs no collective, allocates no staging buffer and
+adds no stats keys, so the engine's output is the single-GPU engine's,
+byte for byte.
 """
 
 from __future__ import annotations
@@ -47,10 +48,6 @@ class ParallelismSpec:
             )
         if problems:
             raise ValueError("invalid ParallelismSpec: " + "; ".join(problems))
-
-    @property
-    def world_size(self) -> int:
-        return self.tp * self.pp
 
     @property
     def trivial(self) -> bool:

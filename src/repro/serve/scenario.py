@@ -30,6 +30,7 @@ from .arrivals import (
     stream_digest,
 )
 from .lifecycle import DegradationPolicy
+from .parallelism import ParallelismSpec
 from .scheduler import (
     DEFAULT_KV_BUDGET_BYTES,
     EngineResult,
@@ -145,6 +146,37 @@ class ScenarioResult:
         return self.report["ttft_ms"]["p99"]
 
 
+def _run_replica(
+    spec: ScenarioSpec,
+    config: SystemConfig,
+    requests: List[ServeRequest],
+    label: str,
+    telemetry: bool,
+    tuning: Optional[EngineTuning] = None,
+    parallelism: Optional[ParallelismSpec] = None,
+):
+    """Serve ``requests`` on one engine built from ``spec``; returns
+    ``(trace, EngineResult, attributions)``.  The attributions are
+    ``None`` unless ``telemetry`` is on, in which case the per-request
+    spans are also appended to the trace."""
+    engine = ServingEngine(
+        scheduler_config=spec.scheduler_config(),
+        kv_budget_bytes=spec.kv_budget_bytes,
+        block_tokens=spec.block_tokens,
+        targets=spec.slo_targets(),
+        degrade=spec.degrade(),
+        parallelism=parallelism,
+        tuning=tuning,
+    )
+    tel = ServeTelemetry() if telemetry else None
+    trace, result = engine.run(config, requests, label=label, telemetry=tel)
+    attributions = None
+    if tel is not None:
+        attributions = attribute_requests(result.outcomes, tel, trace)
+        record_telemetry_spans(attributions, tel.ops, trace)
+    return trace, result, attributions
+
+
 def run_scenario(
     spec: ScenarioSpec,
     config: Optional[SystemConfig] = None,
@@ -161,27 +193,19 @@ def run_scenario(
     way — the zero-perturbation invariant.
 
     ``tuning`` follows the same pattern for the CC-mitigation layer:
-    it is a run parameter, the spec stays untouched, and the default
-    (``None`` — a trivial :class:`~repro.serve.tuning.EngineTuning`)
-    reproduces the committed verdict bytes exactly.  Non-trivial
-    tunings change engine costs (that is their point) and surface
-    themselves under the verdict's ``engine`` stats.
+    it is a run parameter and the spec stays untouched.  Every tuning
+    runs the engine's one token-flush path; the default (``None`` —
+    flush after every decode step, no fusion) reproduces the committed
+    verdict bytes.  Non-default tunings change engine costs (that is
+    their point) and surface themselves under the verdict's ``engine``
+    stats.
     """
     config = config or SystemConfig.base()
     requests = generate_arrivals(
         spec.tenant_specs(), spec.duration_ns, spec.seed
     )
-    engine = ServingEngine(
-        scheduler_config=spec.scheduler_config(),
-        kv_budget_bytes=spec.kv_budget_bytes,
-        block_tokens=spec.block_tokens,
-        targets=spec.slo_targets(),
-        degrade=spec.degrade(),
-        tuning=tuning,
-    )
-    tel = ServeTelemetry() if telemetry else None
-    trace, result = engine.run(
-        config, requests, label=spec.label(config), telemetry=tel
+    trace, result, attributions = _run_replica(
+        spec, config, requests, spec.label(config), telemetry, tuning=tuning
     )
     # Rates are computed over the full busy window (arrival window +
     # drain), so an overloaded run reports its saturation throughput
@@ -190,10 +214,6 @@ def run_scenario(
     report = build_report(
         result.outcomes, result.rejected, window_ns, spec.slo_targets()
     )
-    attributions = None
-    if tel is not None:
-        attributions = attribute_requests(result.outcomes, tel, trace)
-        record_telemetry_spans(attributions, tel.ops, trace)
     return trace, ScenarioResult(
         spec=spec,
         cc=config.cc_on,

@@ -68,6 +68,8 @@ POLICIES = ("fcfs", "spf")
 
 # Host<->device staging chunk for KV swap traffic (per memcpy call).
 SWAP_CHUNK_BYTES = 1 * units.MiB
+# Pinned host buffer per token-flush stream (token ids, 4 B each).
+TOKEN_BUF_BYTES = 64 * units.KiB
 
 
 class SchedulerError(ValueError):
@@ -150,6 +152,10 @@ class ContinuousBatchingScheduler:
 
     def has_work(self) -> bool:
         return bool(self.waiting or self.running or self.warming or self.evicted)
+
+    def live_ids(self) -> List[int]:
+        """Admitted, unfinished sequences: running, warming, evicted."""
+        return list(self.running) + list(self.warming) + list(self.evicted)
 
     @property
     def resident_count(self) -> int:
@@ -407,10 +413,16 @@ class ServingEngine:
     Every cost-paying path (uploads, prefill/decode launches, token
     D2H, KV swaps) runs under the guest's :class:`FaultInjector`; a
     :class:`DegradationPolicy` decides how the engine degrades when
-    faults land (shed vs stall vs crash-and-restart).  With an inactive
-    fault plan and the default inert policy the engine is
-    byte-identical to the pre-fault-layer build (zero-perturbation
-    guarantee)."""
+    faults land (shed vs stall vs crash-and-restart).
+
+    Generated tokens reach the client through one flush path: decode
+    steps queue their tokens, and a flush pays one token D2H for
+    everything queued (every ``token_flush_every`` steps, optionally
+    overlapped on a side stream).  The default knobs flush after every
+    step, which reproduces the committed verdicts, goldens and traces
+    byte for byte.  A crash inside a flush still delivers the tokens
+    that flush carried, at the crash instant: they were generated
+    on-device before the copy was lost."""
 
     def __init__(
         self,
@@ -483,18 +495,17 @@ class ServingEngine:
         ledger = LifecycleLedger()
 
         prompt_host = yield from rt.malloc_host(4 * units.MiB)
-        token_host = yield from rt.malloc_host(64 * units.KiB)
+        token_host = yield from rt.malloc_host(TOKEN_BUF_BYTES)
         scratch_dev = yield from rt.malloc(16 * units.MiB)
         swap_host = yield from rt.malloc_host(SWAP_CHUNK_BYTES)
         swap_dev = yield from rt.malloc(SWAP_CHUNK_BYTES)
 
-        # Mitigation knobs (repro.serve.tuning).  Every tuned path
-        # below is gated so a trivial tuning executes the exact
-        # pre-tuning call sequence — byte-identical verdicts.
+        # Mitigation knobs (repro.serve.tuning).  Defaults fuse
+        # nothing and flush tokens synchronously after every decode
+        # step, which is the committed cost sequence.
         fuse_steps = tun.fuse_step_kernels
         flush_every = tun.token_flush_every
         overlap_d2h = tun.d2h_streams > 1
-        batched_flush = flush_every > 1 or overlap_d2h
         swap_in_host = swap_host
         if tun.split_swap_staging:
             # Direction-stable KV-swap staging: a dedicated swap-in
@@ -508,7 +519,7 @@ class ServingEngine:
             d2h_stream = rt.create_stream()
             for _ in range(tun.d2h_streams - 1):
                 token_bufs.append(
-                    (yield from rt.malloc_host(64 * units.KiB))
+                    (yield from rt.malloc_host(TOKEN_BUF_BYTES))
                 )
 
         # Model parallelism: a non-trivial spec routes every inter-GPU
@@ -544,9 +555,8 @@ class ServingEngine:
         engine_retries = 0
         retry_pressure = False
         breaker_open = False
-        # Batched/overlapped token-flush state (inert when trivial).
-        pending_tokens = 0
-        pending_ids: set = set()
+        # Token-flush state: one pending token per entry of
+        # pending_first (decode ids in plan order, step after step).
         pending_first: List[int] = []
         pending_done: List[int] = []
         steps_since_flush = 0
@@ -561,20 +571,10 @@ class ServingEngine:
         preempt_counter = metrics.counter("serve.preemptions")
         swap_counter = metrics.counter("serve.swap_bytes")
 
-        def terminal(request, status, cause, when, first=None):
-            """Record one terminal state (exactly once, via the ledger)."""
+        def observe(request, status, cause, when, first):
+            """Record one terminal state (exactly once, via the ledger)
+            and its client-visible outcome."""
             ledger.finish(request.req_id, status, cause)
-            # SHED span taxonomy: a zero-duration "serve"-layer span per
-            # policy/fault termination, next to the "recovery" spans the
-            # runtime emits for retried operations.
-            rt.guest.spans.record(
-                f"{status}:{cause}",
-                "serve",
-                when,
-                0,
-                req=request.req_id,
-                tenant=request.tenant,
-            )
             tracker.observe(
                 RequestOutcome(
                     req_id=request.req_id,
@@ -588,6 +588,21 @@ class ServingEngine:
                     status=status,
                     cause=cause,
                 )
+            )
+
+        def terminal(request, status, cause, when, first=None):
+            """A policy/fault termination: the outcome plus its span."""
+            observe(request, status, cause, when, first)
+            # SHED span taxonomy: a zero-duration "serve"-layer span per
+            # policy/fault termination, next to the "recovery" spans the
+            # runtime emits for retried operations.
+            rt.guest.spans.record(
+                f"{status}:{cause}",
+                "serve",
+                when,
+                0,
+                req=request.req_id,
+                tenant=request.tenant,
             )
 
         def paid(make_op):
@@ -617,25 +632,14 @@ class ServingEngine:
 
         def deliver(when, firsts, dones):
             """Client-visible token delivery: stamp first tokens and
-            record completions.  On the un-tuned path this runs right
-            after each step's token D2H; batched/overlapped flushes
-            defer it to the flush's host-sync point."""
+            record completions at the flush's host-sync point (right
+            after a blocking flush, at buffer-reuse/drain time for an
+            overlapped one)."""
             for sid in firsts:
                 first_token.setdefault(sid, when)
             for sid in dones:
-                request = sched.requests[sid]
-                ledger.finish(sid, COMPLETED)
-                tracker.observe(
-                    RequestOutcome(
-                        req_id=sid,
-                        tenant=request.tenant,
-                        arrival_ns=request.arrival_ns,
-                        first_token_ns=first_token[sid],
-                        finish_ns=when,
-                        prompt_tokens=request.prompt_tokens,
-                        gen_tokens=request.gen_tokens,
-                        preemptions=sched.preempt_counts.get(sid, 0),
-                    )
+                observe(
+                    sched.requests[sid], COMPLETED, "", when, first_token[sid]
                 )
 
         def drain_inflight_one():
@@ -650,12 +654,11 @@ class ServingEngine:
             the last flush (fewer encrypted bridge transits), then
             deliver the deferred records — immediately on the blocking
             path, at buffer-reuse/drain time on the overlapped path."""
-            nonlocal pending_tokens, steps_since_flush, flush_buf
-            nonlocal token_flushes
-            if not pending_tokens:
+            nonlocal steps_since_flush, flush_buf, token_flushes
+            if not pending_first:
                 return
-            ids = tuple(sorted(pending_ids))
-            size = 4 * pending_tokens
+            ids = tuple(dict.fromkeys(pending_first))
+            size = 4 * len(pending_first)
             if overlap_d2h:
                 while len(inflight) >= len(token_bufs):
                     yield from drain_inflight_one()
@@ -678,40 +681,40 @@ class ServingEngine:
                     yield from paid(lambda: rt.memcpy(
                         token_host, scratch_dev, size
                     ))
-                deliver(rt.sim.now, list(pending_first), list(pending_done))
+                deliver(rt.sim.now, pending_first, pending_done)
             token_flushes += 1
             pending_first.clear()
             pending_done.clear()
-            pending_ids.clear()
-            pending_tokens = 0
             steps_since_flush = 0
+
+        def flush_all():
+            """Flush pending tokens and host-sync every async flush."""
+            yield from flush_tokens()
+            while inflight:
+                yield from drain_inflight_one()
 
         def abandon_pending(when):
             """Crash/give-up path: the engine stops paying copies, but
             every device-complete token delivery must still be
             accounted (the ledger's exactly-once guarantee)."""
-            nonlocal pending_tokens, steps_since_flush
+            nonlocal steps_since_flush
             for _event, firsts, dones in inflight:
                 deliver(when, firsts, dones)
             inflight.clear()
             deliver(when, pending_first, pending_done)
             pending_first.clear()
             pending_done.clear()
-            pending_ids.clear()
-            pending_tokens = 0
             steps_since_flush = 0
 
         def resident_ids():
             """Requests currently paying engine costs (telemetry tags).
 
             With telemetry off the tags are discarded unseen, so skip
-            the per-iteration set union + sort entirely.
+            the per-iteration sort entirely.
             """
             if not tel.enabled:
                 return ()
-            return tuple(sorted(
-                set(sched.running) | set(sched.warming) | set(sched.evicted)
-            ))
+            return tuple(sorted(sched.live_ids()))
 
         def reattest(action):
             """Session teardown + full SPDM re-attestation (the KV keys
@@ -746,12 +749,7 @@ class ServingEngine:
                     survivors.append(request)
             sched.waiting[:] = survivors
             if deadline:
-                live = (
-                    list(sched.running)
-                    + list(sched.warming)
-                    + list(sched.evicted)
-                )
-                for sid in live:
+                for sid in sched.live_ids():
                     request = sched.requests[sid]
                     if when - request.arrival_ns > deadline:
                         sched.cancel(sid)
@@ -766,17 +764,11 @@ class ServingEngine:
             cause — nothing is silently dropped."""
             nonlocal index
             when = rt.sim.now
-            if batched_flush:
-                abandon_pending(when)
+            abandon_pending(when)
             for request in list(sched.waiting):
                 terminal(request, FAILED, cause, when)
             sched.waiting.clear()
-            live = (
-                list(sched.running)
-                + list(sched.warming)
-                + list(sched.evicted)
-            )
-            for sid in live:
+            for sid in sched.live_ids():
                 request = sched.requests[sid]
                 sched.cancel(sid)
                 terminal(
@@ -841,33 +833,39 @@ class ServingEngine:
             pp_comm_ns += rt.sim.now - comm_start
 
         while True:
-            now = rt.sim.now
-            while index < len(pending) and pending[index].arrival_ns <= now:
-                request = pending[index]
-                index += 1
-                ledger.submit(request.req_id)
-                if degrade.shed_policy == "pushback" and (
-                    retry_pressure
-                    or (
-                        queue_cap_now()
-                        and len(sched.waiting) >= queue_cap_now()
-                    )
-                ):
-                    terminal(request, SHED, "pushback", now)
-                    continue
-                if not sched.submit(request):
-                    ledger.finish(request.req_id, REJECTED, "admission")
-            queue_gauge.set(len(sched.waiting))
-            if degrade.sheds:
-                shed_scan(now)
-            if not sched.has_work():
-                if index >= len(pending):
-                    break
-                # Idle: jump to the next arrival.
-                yield rt.sim.timeout(pending[index].arrival_ns - now)
-                continue
-
             try:
+                now = rt.sim.now
+                while index < len(pending) and pending[index].arrival_ns <= now:
+                    request = pending[index]
+                    index += 1
+                    ledger.submit(request.req_id)
+                    if degrade.shed_policy == "pushback" and (
+                        retry_pressure
+                        or (
+                            queue_cap_now()
+                            and len(sched.waiting) >= queue_cap_now()
+                        )
+                    ):
+                        terminal(request, SHED, "pushback", now)
+                        continue
+                    if not sched.submit(request):
+                        ledger.finish(request.req_id, REJECTED, "admission")
+                queue_gauge.set(len(sched.waiting))
+                if degrade.sheds:
+                    shed_scan(now)
+                if not sched.has_work():
+                    if pending_first or inflight:
+                        # Shedding emptied the scheduler while tokens
+                        # it generated still wait for their flush:
+                        # deliver them before idling or finishing.
+                        yield from flush_all()
+                        continue
+                    if index >= len(pending):
+                        break
+                    # Idle: jump to the next arrival.
+                    yield rt.sim.timeout(pending[index].arrival_ns - now)
+                    continue
+
                 # SPDM re-attestation storm: the session health check
                 # demands a fresh attestation.  With the circuit
                 # breaker the engine pauses admission and drains the
@@ -1006,34 +1004,13 @@ class ServingEngine:
                         yield from tp_sync(sync_tokens, step_ids)
                     if par.pp > 1:
                         yield from pp_bridge(sync_tokens, step_ids)
-                    if not batched_flush:
-                        with tel.op("token_d2h", tuple(plan.decode_ids)):
-                            yield from paid(lambda: rt.memcpy(
-                                token_host, scratch_dev,
-                                4 * len(plan.decode_ids),
-                            ))
-                        step_end = rt.sim.now
-                        for sid in plan.decode_ids:
-                            first_token.setdefault(sid, step_end)
-                        deliver(
-                            step_end, (), sched.finish_step(plan.decode_ids)
-                        )
-                    else:
-                        steps_since_flush += 1
-                        pending_tokens += len(plan.decode_ids)
-                        pending_ids.update(plan.decode_ids)
-                        pending_first.extend(plan.decode_ids)
-                        pending_done.extend(
-                            sched.finish_step(plan.decode_ids)
-                        )
-                if batched_flush and pending_tokens and (
-                    steps_since_flush >= flush_every
-                    or not sched.has_work()
-                ):
+                    steps_since_flush += 1
+                    pending_first.extend(plan.decode_ids)
+                    pending_done.extend(sched.finish_step(plan.decode_ids))
+                if not sched.has_work():
+                    yield from flush_all()
+                elif steps_since_flush >= flush_every:
                     yield from flush_tokens()
-                if batched_flush and inflight and not sched.has_work():
-                    while inflight:
-                        yield from drain_inflight_one()
                 kv_gauge.set(pager.cache.used_blocks)
                 running_gauge.set(len(sched.running))
                 retry_pressure = engine_retries > retries_before
@@ -1045,18 +1022,15 @@ class ServingEngine:
                 restarts += 1
                 metrics.counter("serve.engine_crashes").inc()
                 crash_start = rt.sim.now
-                if batched_flush:
-                    # Tokens already generated on-device are delivered
-                    # at crash time; their requests left the scheduler
-                    # at finish_step and only the flush was pending.
-                    abandon_pending(crash_start)
+                # Tokens already generated on-device are delivered at
+                # crash time; their requests left the scheduler at
+                # finish_step and only the flush was pending.
+                abandon_pending(crash_start)
                 sched.crash_recover()
-                first_token_keep = {
-                    sid: first_token[sid]
-                    for sid in first_token
+                first_token = {
+                    sid: at for sid, at in first_token.items()
                     if not ledger.state_of(sid)
                 }
-                first_token = first_token_keep
                 if restarts > degrade.max_engine_restarts:
                     give_up(crash.site)
                     break

@@ -364,17 +364,6 @@ class RequestAttribution:
             (self.finish_ns - self.first_token_ns) / (self.gen_tokens - 1)
         )
 
-    def dominant_component(self) -> str:
-        """The largest non-queue blame bucket (ties -> report order)."""
-        best, best_value = "other", -1
-        for component in ATTRIBUTION_COMPONENTS:
-            if component == "queue":
-                continue
-            value = self.components.get(component, 0)
-            if value > best_value:
-                best, best_value = component, value
-        return best
-
     def to_record(self) -> Dict[str, object]:
         """Flat JSON/CSV-ready record (integer ns, no floats)."""
         record: Dict[str, object] = {

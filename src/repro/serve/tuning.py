@@ -9,9 +9,10 @@ lives in :mod:`repro.optim.passes`, where composable
 records; :mod:`repro.serve` deliberately never imports
 :mod:`repro.optim`, so the dependency arrow points one way.
 
-Every default is inert: a trivial tuning (``EngineTuning()``) leaves
-the engine byte-identical to the pre-tuning build — the same
-zero-perturbation contract the telemetry and parallelism layers honor.
+The engine has one cost path for every tuning.  The defaults
+(``EngineTuning()``) fuse nothing, flush tokens synchronously after
+each decode step and add no stats keys, so they reproduce the
+committed verdicts, goldens and traces byte for byte.
 
 The knobs map onto the paper's evaluated mitigations:
 
@@ -106,8 +107,8 @@ class EngineTuning:
 
     @property
     def trivial(self) -> bool:
-        """True when every knob is at its inert default (the engine
-        pays exactly the un-tuned cost sequence)."""
+        """True when every knob is at its default (the engine adds
+        no ``tuning*`` stats keys)."""
         default = _DEFAULT
         return all(
             getattr(self, f.name) == getattr(default, f.name)

@@ -24,16 +24,19 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
+from repro.cuda import CudaRuntime
 from repro.faults import (
     BOUNCE_POOL,
     DMA,
     GCM_TAG,
     HYPERCALL,
     SPDM,
+    FatalFault,
     FaultPlan,
     RetryPolicy,
     SiteFaults,
 )
+from repro.figures.ext_fault_serving import fault_plan_for, spec_for
 from repro.llm.kvcache import KVCacheError
 from repro.serve import (
     COMPLETED,
@@ -44,9 +47,14 @@ from repro.serve import (
     LifecycleError,
     LifecycleLedger,
     ScenarioSpec,
+    ServeTelemetry,
+    ServingEngine,
+    generate_arrivals,
     run_scenario,
     verdict_json,
 )
+from repro.optim import parse_pipeline
+from repro.serve.scheduler import TOKEN_BUF_BYTES
 
 NS_PER_SEC = units.NS_PER_SEC
 
@@ -253,6 +261,78 @@ def test_persistent_fault_exhausts_restarts_and_fails_with_cause():
     causes = result.report["failed_causes"]
     assert GCM_TAG in causes or "engine_down" in causes
     _partition_holds(result)
+
+
+@pytest.mark.parametrize(
+    "pipeline,seed",
+    [("fusion+overlap:2+batch:4+staging", 10), ("overlap:4", 20)],
+)
+def test_shedding_an_empty_scheduler_still_flushes_tokens(pipeline, seed):
+    # Shedding cancels the last live requests while tokens of already
+    # finished ones wait in an overlapped flush.  The engine must
+    # deliver them before it idles or stops, or request 133 never
+    # terminates (LifecycleError at drain).
+    spec, tuning = parse_pipeline(pipeline).apply(
+        spec_for("shed+breaker", 42, 4.0)
+    )
+    config = SystemConfig.confidential(seed=seed).replace(
+        faults=fault_plan_for(0.1)
+    )
+    _, result = run_scenario(spec, config, tuning=tuning)
+    assert result.engine.stats["shed"] > 0
+    _partition_holds(result)
+
+
+def test_untuned_crash_inside_token_d2h_delivers_at_crash_time(monkeypatch):
+    # The k-th token D2H of an untuned engine fails on every engine
+    # retry, so the engine crashes inside the flush.  The tokens of that
+    # decode step were already generated on-device: the requests it
+    # finished complete at the crash instant instead of being requeued.
+    spec = ScenarioSpec(**SHORT)
+    config = SystemConfig.confidential()
+    requests = generate_arrivals(
+        spec.tenant_specs(), spec.duration_ns, spec.seed
+    )
+
+    def serve():
+        tel = ServeTelemetry()
+        engine = ServingEngine(
+            scheduler_config=spec.scheduler_config(), degrade=spec.degrade()
+        )
+        _, result = engine.run(config, requests, telemetry=tel)
+        flushes = [op for op in tel.ops if op.kind == "token_d2h"]
+        return result, flushes
+
+    clean, flushes = serve()
+    finish = {o.req_id: o.finish_ns for o in clean.outcomes}
+    k, step = next(
+        (k, op) for k, op in enumerate(flushes)
+        if any(finish[sid] == op.end_ns for sid in op.req_ids)
+    )
+    finished = {sid for sid in step.req_ids if finish[sid] == step.end_ns}
+
+    token_copies = []
+    real_memcpy = CudaRuntime.memcpy
+
+    def memcpy(self, dst, src, size=None, cold=None):
+        if dst.size == TOKEN_BUF_BYTES:
+            token_copies.append(size)
+            if k < len(token_copies) <= k + config.retry.max_attempts:
+                raise FatalFault(DMA, 1)
+        return real_memcpy(self, dst, src, size, cold)
+
+    monkeypatch.setattr(CudaRuntime, "memcpy", memcpy)
+    # run() raises LifecycleError unless every request terminates once.
+    crashed, crashed_flushes = serve()
+    crash_ns = crashed_flushes[k].end_ns
+    assert crashed_flushes[k].req_ids == step.req_ids
+    assert crashed.stats["restarts"] == 1
+    assert crashed.stats["failed"] == 0
+    outcomes = {o.req_id: o for o in crashed.outcomes}
+    for sid in finished:
+        assert outcomes[sid].status == COMPLETED
+        assert outcomes[sid].finish_ns == crash_ns
+    assert len(crashed.outcomes) == len(clean.outcomes)
 
 
 def test_circuit_breaker_absorbs_spdm_storms():

@@ -2,6 +2,8 @@
 exact per-request CC-tax conservation, forensics consistency with the
 verdict, per-request trace tracks, and byte-deterministic exports."""
 
+import dataclasses
+import hashlib
 import json
 from collections import Counter
 from types import SimpleNamespace
@@ -474,6 +476,44 @@ def test_exports_byte_deterministic(cc_run):
     )
     header = requests_csv(first.attributions).splitlines()[0]
     assert header.split(",")[0] == "req_id"
+
+
+#: A short paging run: preemptions and restores reorder the running
+#: batch, so a decode plan is not in request-id order.
+PINNED = dataclasses.replace(PAGING, duration_ns=units.NS_PER_SEC // 4)
+
+#: SHA-256 of the three exports of the untuned CC ``PINNED`` telemetry
+#: run.  The trace digest also pins op tags such as the plan-order
+#: request list of each ``token_d2h`` op, which no verdict or golden
+#: covers.  Do NOT update without a golden-gate review.
+_EXPORT_DIGESTS = {
+    "verdict": (
+        "5104764d89edd963ddb0dfd2b27594b643c83da9d9436d0f09594a5d40f84853"
+    ),
+    "requests_jsonl": (
+        "c597e5f2d32915088e83ba32257422d15f019acbac84150baf70549e535e28b4"
+    ),
+    "chrome_trace": (
+        "aa55ee08dd2dc69e8a4684d37715eee86e6bacdbb3c7f67c4cdb84cafd7e4a0e"
+    ),
+}
+
+
+def test_untuned_cc_export_digests_pinned():
+    trace, result = run_scenario(
+        PINNED, SystemConfig.confidential(), telemetry=True
+    )
+    assert result.engine.stats["preemptions"] > 0
+    exports = {
+        "verdict": verdict_json(result),
+        "requests_jsonl": requests_jsonl(result.attributions),
+        "chrome_trace": trace.to_chrome_trace(),
+    }
+    digests = {
+        name: hashlib.sha256(text.encode()).hexdigest()
+        for name, text in exports.items()
+    }
+    assert digests == _EXPORT_DIGESTS
 
 
 def test_queue_attribution_never_admitted():
