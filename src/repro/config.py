@@ -116,9 +116,6 @@ class TDXSpec:
 
     hypercall_ns: int = units.us(1.3)
     td_hypercall_ns: int = units.us(7.4)  # = 1.3us * 5.7 (+470 %)
-    seamcall_ns: int = units.us(2.2)
-    # tdh.mem.page.accept + EPT-entry install, per 4 KiB page.
-    page_accept_ns: int = units.us(1.0)
     # set_memory_decrypted(): private->shared conversion, per 4 KiB page
     # (EPT permission flip + TLB shootdown, amortized).
     page_convert_ns: int = units.us(2.1)

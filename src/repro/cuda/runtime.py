@@ -142,9 +142,8 @@ class CudaRuntime:
         num_pages = units.pages(size, self.config.tdx.page_size)
         cost = self.guest.jitter(int(base_ns + per_page * num_pages), 0.05)
         start = self.sim.now
-        with self.guest.stacks.frame(api):
-            with self.guest.spans.span(api, "driver", bytes=size):
-                yield from self.guest.cpu_work(cost)
+        with self.guest.spans.span(api, "driver", bytes=size):
+            yield from self.guest.cpu_work(cost)
         return start, self.sim.now - start
 
     def malloc(self, size: int) -> Generator:
@@ -451,13 +450,12 @@ class CudaRuntime:
             if plan.cpu_ns:
                 staging_start = self.sim.now
                 cc = self.config.cc_on
-                with self.guest.stacks.frame("cudaMemcpyAsync.staging"):
-                    with self.guest.spans.span(
-                        "memcpy.encrypt" if cc else "memcpy.staging",
-                        "td" if cc else "driver",
-                        **({"crypto": True} if cc else {}),
-                    ):
-                        yield from self.guest.cpu_work(plan.cpu_ns)
+                with self.guest.spans.span(
+                    "memcpy.encrypt" if cc else "memcpy.staging",
+                    "td" if cc else "driver",
+                    **({"crypto": True} if cc else {}),
+                ):
+                    yield from self.guest.cpu_work(plan.cpu_ns)
                 staging_event = memcpy_event(
                     copy_kind,
                     staging_start,
@@ -535,25 +533,22 @@ class CudaRuntime:
                 else 0
             )
             first = kernel.name not in self._seen_kernels
-            with self.guest.stacks.frame("cudaLaunchKernel"):
-                with self.guest.spans.span(
-                    "cudaLaunchKernel",
-                    "driver",
-                    kernel=kernel.name,
-                    stream=stream.id,
-                    first=first,
-                ):
-                    with self.guest.stacks.frame("libcuda.so::cuLaunchKernel"):
-                        if first:
-                            self._seen_kernels.add(kernel.name)
-                            yield from self._first_launch_setup(kernel)
-                        base = self.guest.jitter(
-                            launch_cfg.klo_base_ns, launch_cfg.jitter_sigma
-                        )
-                        with self.guest.stacks.frame("nvidia.ko::rm_ioctl"):
-                            yield from self.guest.cpu_work(base)
-                            if self._cc:
-                                yield from self._cc_launch_extra()
+            with self.guest.spans.span(
+                "cudaLaunchKernel",
+                "driver",
+                kernel=kernel.name,
+                stream=stream.id,
+                first=first,
+            ):
+                if first:
+                    self._seen_kernels.add(kernel.name)
+                    yield from self._first_launch_setup(kernel)
+                base = self.guest.jitter(
+                    launch_cfg.klo_base_ns, launch_cfg.jitter_sigma
+                )
+                yield from self.guest.cpu_work(base)
+                if self._cc:
+                    yield from self._cc_launch_extra()
         except BaseException:
             # Driver-side failure (e.g. a fatal hypercall fault) before
             # the command reached the GPU: the queue credit must not
@@ -594,45 +589,24 @@ class CudaRuntime:
         # Larger machine code (the Listing-1 unroll knob) loads slower.
         unroll = kernel.attrs.get("unroll", 1.0)
         extra = int(extra * (1.0 + 0.015 * max(unroll - 1.0, 0.0)))
-        with self.guest.stacks.frame("cuModuleLoad"):
-            with self.guest.spans.span("cuModuleLoad", "driver"):
-                yield from self.guest.cpu_work(extra)
+        with self.guest.spans.span("cuModuleLoad", "driver"):
+            yield from self.guest.cpu_work(extra)
         if self.config.cc_on:
             pages = int(
                 kernel.attrs.get(
                     "module_pages", launch_cfg.first_launch_bounce_pages
                 )
             )
-            with self.guest.stacks.frame("dma_direct_alloc"):
-                with self.guest.spans.span(
-                    "dma_direct_alloc", "driver", pages=pages
-                ):
-                    yield from self.guest.hypercall("tdvmcall.mapgpa")
-                    duration = pages * self.config.tdx.page_convert_ns
-                    self.guest.pages_converted += pages
-                    with self.guest.stacks.frame("set_memory_decrypted"):
-                        self.guest.stacks.record(duration)
-                    yield self.sim.timeout(duration)
-                    self.guest.spans.record(
-                        "set_memory_decrypted",
-                        "td",
-                        self.sim.now - duration,
-                        duration,
-                        pages=pages,
-                    )
-                    self.guest.metrics.counter("tdx.pages_converted").inc(
-                        pages
-                    )
+            with self.guest.spans.span("dma_direct_alloc", "driver", pages=pages):
+                yield from self.guest.hypercall("tdvmcall.mapgpa")
+                yield from self.guest._convert_pages(pages)
             yield from self.guest.hypercall("tdvmcall.mmio")
 
     def _cc_launch_extra(self) -> Generator:
         """Steady-state CC launch tax: packet crypto + rare hypercalls."""
         launch_cfg = self.config.launch
-        with self.guest.stacks.frame("cc_encrypt_pushbuffer"):
-            with self.guest.spans.span(
-                "cc_encrypt_pushbuffer", "td", crypto=True
-            ):
-                yield from self.guest.cpu_work(launch_cfg.klo_cc_extra_ns)
+        with self.guest.spans.span("cc_encrypt_pushbuffer", "td", crypto=True):
+            yield from self.guest.cpu_work(launch_cfg.klo_cc_extra_ns)
         self._hypercall_accum += launch_cfg.hypercalls_per_launch
         while self._hypercall_accum >= 1.0:
             self._hypercall_accum -= 1.0
@@ -714,11 +688,10 @@ class CudaRuntime:
         cost = cfg.graph_instantiate_base_ns + cfg.graph_capture_per_node_ns * len(
             kernels
         )
-        with self.guest.stacks.frame("cudaGraphInstantiate"):
-            with self.guest.spans.span(
-                "cudaGraphInstantiate", "driver", nodes=len(kernels)
-            ):
-                yield from self.guest.cpu_work(cost)
+        with self.guest.spans.span(
+            "cudaGraphInstantiate", "driver", nodes=len(kernels)
+        ):
+            yield from self.guest.cpu_work(cost)
         nodes = []
         for index, kernel in enumerate(kernels):
             touches = (
@@ -743,18 +716,17 @@ class CudaRuntime:
             else 0
         )
         cost = cfg.graph_launch_base_ns + cfg.graph_launch_per_node_ns * graph.num_nodes
-        with self.guest.stacks.frame("cudaGraphLaunch"):
-            with self.guest.spans.span(
-                "cudaGraphLaunch",
-                "driver",
-                nodes=graph.num_nodes,
-                stream=stream.id,
-            ):
-                yield from self.guest.cpu_work(
-                    self.guest.jitter(cost, cfg.jitter_sigma)
-                )
-                if self.config.cc_on:
-                    yield from self._cc_launch_extra()
+        with self.guest.spans.span(
+            "cudaGraphLaunch",
+            "driver",
+            nodes=graph.num_nodes,
+            stream=stream.id,
+        ):
+            yield from self.guest.cpu_work(
+                self.guest.jitter(cost, cfg.jitter_sigma)
+            )
+            if self.config.cc_on:
+                yield from self._cc_launch_extra()
         end = self.sim.now
         self._last_launch_end = end
         self.trace.add(

@@ -62,9 +62,6 @@ class CellSpec:
             return "repro.exec.runner"
         return f"repro.figures.{self.module}"
 
-    def run_config(self) -> RunConfig:
-        return RunConfig(variant=self.variant, params=dict(self.params))
-
 
 def _cells(*specs: CellSpec) -> Dict[str, CellSpec]:
     return {spec.cell_id: spec for spec in specs}

@@ -164,11 +164,6 @@ class FaultPlan:
         with open(path) as handle:
             return FaultPlan.from_json(handle.read())
 
-    def replace_site(self, site: str, spec: SiteFaults) -> "FaultPlan":
-        mapping = dict(self.sites)
-        mapping[site] = spec
-        return FaultPlan.from_mapping(mapping)
-
 
 @dataclass(frozen=True)
 class FaultModelSpec:

@@ -10,7 +10,7 @@ migration time computed by :mod:`repro.gpu.uvm`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .. import units
@@ -45,9 +45,6 @@ class KernelSpec:
     grid: Tuple[int, int, int] = (1, 1, 1)
     block: Tuple[int, int, int] = (256, 1, 1)
     attrs: Dict[str, float] = field(default_factory=dict)
-
-    def with_name(self, name: str) -> "KernelSpec":
-        return replace(self, name=name)
 
     def peak_flops(self, gpu: GPUSpec) -> float:
         table = {

@@ -59,10 +59,6 @@ class PagedKVCache:
         self._require(seq_id)
         return self._lengths[seq_id]
 
-    def block_table(self, seq_id: int) -> List[int]:
-        self._require(seq_id)
-        return list(self._tables[seq_id])
-
     def blocks_needed(self, num_tokens: int) -> int:
         return (num_tokens + self.block_tokens - 1) // self.block_tokens
 

@@ -50,10 +50,6 @@ class ExtentAllocator:
     def free_bytes(self) -> int:
         return self.capacity - self.used_bytes
 
-    @property
-    def num_allocations(self) -> int:
-        return len(self._live)
-
     def size_of(self, address: int) -> int:
         if address not in self._live:
             raise AllocatorError(f"address {address:#x} is not allocated")

@@ -166,6 +166,3 @@ class MultiGPUNode:
     def _check(self, gpu: int) -> None:
         if not 0 <= gpu < self.num_gpus:
             raise ValueError(f"gpu {gpu} out of range")
-
-    def p2p_time_ns(self, size: int, security: LinkSecurity) -> int:
-        return transfer_time_ns(self.link, size, security)

@@ -9,8 +9,9 @@ module, not the driver).
 Spans are recorded two ways:
 
 * as a context manager (:meth:`SpanRecorder.span`) around generator
-  code — the span stays open across simulation yields, exactly like
-  :class:`repro.tdx.CallStackRecorder` frames;
+  code — the span stays open across simulation yields, so nested
+  driver and TDX calls hang off it as a call stack (the Fig. 8 flame
+  graph is folded from this tree);
 * retroactively (:meth:`SpanRecorder.record`) for operations whose
   duration is only known after the fact (hypercalls, fault-recovery
   intervals, synthesized pipeline stages).
@@ -29,6 +30,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
+
+from ..core.intervals import union_length
 
 # The layer taxonomy, innermost-trusted first.  Spans may use other
 # layer strings (e.g. "recovery"); canonical layers sort first in
@@ -67,17 +70,6 @@ class Span:
     @property
     def end_ns(self) -> int:
         return self.start_ns + self.duration_ns
-
-
-def _merge(intervals: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Merge possibly-overlapping (start, end) intervals."""
-    merged: List[Tuple[int, int]] = []
-    for start, end in sorted(intervals):
-        if merged and start <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], end))
-        else:
-            merged.append((start, end))
-    return merged
 
 
 class _NullSpanContext:
@@ -245,8 +237,7 @@ class SpanRecorder:
         """Union busy time per layer (overlapping spans count once)."""
         result: Dict[str, int] = {}
         for layer, spans in self.by_layer().items():
-            merged = _merge([(s.start_ns, s.end_ns) for s in spans])
-            result[layer] = sum(end - start for start, end in merged)
+            result[layer] = union_length((s.start_ns, s.end_ns) for s in spans)
         return result
 
     def children_of(self, span_id: int) -> List[Span]:

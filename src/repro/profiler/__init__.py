@@ -18,7 +18,6 @@ from .events import (
 )
 from .flamegraph import (
     FlameNode,
-    build_tree,
     folded_from_spans,
     frame_share,
     render_ascii,
@@ -44,7 +43,6 @@ __all__ = [
     "TraceImportError",
     "alloc_event",
     "assert_valid_chrome_trace",
-    "build_tree",
     "cdf",
     "cdf_at",
     "folded_from_spans",

@@ -1,11 +1,10 @@
 """Flame-graph folding and rendering (paper Fig. 8).
 
-Builds an aggregated call tree with inclusive times from either the
-folded stacks of :class:`repro.tdx.CallStackRecorder`
-(:func:`build_tree`) or the hierarchical span tree of
-:class:`repro.obs.SpanRecorder` (:func:`tree_from_spans`), plus a
-simple ASCII rendering used by the Fig. 8 bench and the ``repro trace``
-CLI.
+Builds an aggregated call tree with inclusive times from the
+hierarchical span tree of :class:`repro.obs.SpanRecorder`
+(:func:`tree_from_spans`) or folded-stacks rows from the same spans
+(:func:`folded_from_spans`), plus a simple ASCII rendering used by the
+Fig. 8 bench and the ``repro trace`` CLI.
 """
 
 from __future__ import annotations
@@ -30,17 +29,6 @@ class FlameNode:
             node = FlameNode(name)
             self.children[name] = node
         return node
-
-
-def build_tree(samples: Dict[Tuple[str, ...], int], root_name: str = "root") -> FlameNode:
-    """Aggregate {stack: self_ns} samples into a call tree."""
-    root = FlameNode(root_name)
-    for stack, self_ns in samples.items():
-        node = root
-        for frame in stack:
-            node = node.child(frame)
-        node.self_ns += self_ns
-    return root
 
 
 def tree_from_spans(spans: Iterable, root_name: str = "root") -> FlameNode:

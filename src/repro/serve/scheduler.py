@@ -779,7 +779,11 @@ class ServingEngine:
                 request = pending[index]
                 index += 1
                 ledger.submit(request.req_id)
-                terminal(request, FAILED, "engine_down", when)
+                # A request cannot end before it arrives.
+                terminal(
+                    request, FAILED, "engine_down",
+                    max(when, request.arrival_ns),
+                )
             metrics.counter("serve.engine_give_up").inc()
 
         def chunked_copy(dst, src, total):

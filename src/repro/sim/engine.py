@@ -394,10 +394,6 @@ class SimTimeCollector:
         self._sims.append(sim)
 
     @property
-    def simulators(self) -> int:
-        return len(self._sims)
-
-    @property
     def total_sim_ns(self) -> int:
         """Sum of the current clocks of every registered Simulator."""
         return sum(sim._now for sim in self._sims)

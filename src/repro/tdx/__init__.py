@@ -1,12 +1,10 @@
-"""CPU TEE substrate: trust-domain context, TDX cost primitives, and
-flame-graph call-stack recording (paper Sec. II-A, Fig. 2, Fig. 8)."""
+"""CPU TEE substrate: trust-domain context, TDX cost primitives and
+SPDM attestation (paper Sec. II-A, Fig. 2)."""
 
-from .callstack import CallStackRecorder
 from .domain import GuestContext
 from .spdm import SpdmError, SpdmSession, attest_gpu
 
 __all__ = [
-    "CallStackRecorder",
     "GuestContext",
     "SpdmError",
     "SpdmSession",

@@ -7,8 +7,8 @@ TDX a much more expensive tdx_hypercall through the SEAM-mode TDX
 module (the paper cites a +470 % latency increase [16]).
 
 All timed operations are generator coroutines to be driven by the
-simulation kernel; they also feed the Fig. 8 call-stack recorder and
-per-primitive counters used in overhead breakdowns.
+simulation kernel; they record spans (folded into the Fig. 8 flame
+graph) and the per-primitive counters used in overhead breakdowns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from ..mem import BounceBufferPool, HostMemory
 from ..obs import MetricsRegistry, SpanRecorder
 from ..profiler import recovery_event
 from ..sim import Simulator
-from .callstack import CallStackRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..profiler import Trace
@@ -49,7 +48,6 @@ class GuestContext:
         self.bounce = BounceBufferPool(
             config.tdx.bounce_pool_bytes, page_size=config.tdx.page_size
         )
-        self.stacks = CallStackRecorder()
         self.rng = np.random.default_rng(config.seed)
         self.faults = FaultInjector(config.faults, seed=config.seed, sim=sim)
         # Observability: spans and sampled metrics live on the trace;
@@ -67,11 +65,8 @@ class GuestContext:
         # registry's register-on-lookup semantics — and therefore the
         # set of exported metric names — are unchanged), then reused.
         self._hypercalls_counter: Optional[object] = None
-        self._pages_converted_counter: Optional[object] = None
         # Primitive counters for overhead attribution.
         self.hypercall_count = 0
-        self.seamcall_count = 0
-        self.pages_accepted = 0
         self.pages_converted = 0
 
     # -- fault recovery accounting ------------------------------------------
@@ -128,7 +123,6 @@ class GuestContext:
         duration = base_ns
         if self.cc:
             duration = int(duration * self.config.cpu.td_compute_tax)
-        self.stacks.record(duration)
         yield self.sim.timeout(duration)
         return duration
 
@@ -146,10 +140,7 @@ class GuestContext:
             if fault is None:
                 break
             start = self.sim.now
-            timeout = self.config.fault_model.hypercall_timeout_ns
-            with self.stacks.frame("tdx_hypercall.timeout"):
-                self.stacks.record(timeout)
-            yield self.sim.timeout(timeout)
+            yield self.sim.timeout(self.config.fault_model.hypercall_timeout_ns)
             if attempt >= self.config.retry.max_attempts:
                 self.record_recovery(
                     HYPERCALL, start, attempt, "fatal", fatal=True
@@ -160,13 +151,6 @@ class GuestContext:
             attempt += 1
         self.hypercall_count += 1
         duration = self.config.hypercall_ns()
-        if self.cc:
-            with self.stacks.frame(reason):
-                with self.stacks.frame("tdx_module.__seamcall"):
-                    self.stacks.record(duration)
-        else:
-            with self.stacks.frame("vmexit"):
-                self.stacks.record(duration)
         yield self.sim.timeout(duration)
         start = self.sim.now - duration
         counter = self._hypercalls_counter
@@ -188,39 +172,6 @@ class GuestContext:
             self.spans.record(reason, "hypervisor", start, duration)
         return duration
 
-    def seamcall(self, reason: str = "seamcall") -> Generator:
-        """Host/TDX-module service call (only meaningful for TDs)."""
-        self.seamcall_count += 1
-        duration = self.config.tdx.seamcall_ns if self.cc else 0
-        if duration:
-            with self.stacks.frame(reason):
-                self.stacks.record(duration)
-            yield self.sim.timeout(duration)
-            self.spans.record(
-                reason, "tdx_module", self.sim.now - duration, duration
-            )
-            self.metrics.counter("tdx.seamcalls").inc()
-        return duration
-
-    def accept_pages(self, num_pages: int) -> Generator:
-        """tdh.mem.page.accept for newly mapped private pages."""
-        if not self.cc or num_pages <= 0:
-            return 0
-        self.pages_accepted += num_pages
-        duration = num_pages * self.config.tdx.page_accept_ns
-        with self.stacks.frame("tdx_accept_page"):
-            self.stacks.record(duration)
-        yield self.sim.timeout(duration)
-        self.spans.record(
-            "tdh.mem.page.accept",
-            "tdx_module",
-            self.sim.now - duration,
-            duration,
-            pages=num_pages,
-        )
-        self.metrics.counter("tdx.pages_accepted").inc(num_pages)
-        return duration
-
     def set_memory_decrypted(self, address: int, size: int) -> Generator:
         """Private->shared conversion (Linux set_memory_decrypted()).
 
@@ -231,72 +182,27 @@ class GuestContext:
         converted = self.memory.set_memory_decrypted(address, size)
         if converted == 0:
             return 0
-        self.pages_converted += converted
-        duration = converted * self.config.tdx.page_convert_ns
-        with self.stacks.frame("set_memory_decrypted"):
-            with self.stacks.frame("__set_memory_enc_dec"):
-                self.stacks.record(duration)
+        return (yield from self._convert_pages(converted))
+
+    def _convert_pages(self, pages: int) -> Generator:
+        """Book ``pages`` private->shared conversions: time, span, counters.
+
+        The one place a ``set_memory_decrypted`` span is recorded; the
+        CUDA runtime's first-launch DMA setup calls it too.  Private so
+        per-method call ledgers see only the public entry points.
+        """
+        self.pages_converted += pages
+        duration = pages * self.config.tdx.page_convert_ns
         yield self.sim.timeout(duration)
         self.spans.record(
             "set_memory_decrypted",
             "td",
             self.sim.now - duration,
             duration,
-            pages=converted,
+            pages=pages,
         )
-        counter = self._pages_converted_counter
-        if counter is None:
-            counter = self._pages_converted_counter = self.metrics.counter(
-                "tdx.pages_converted"
-            )
-        counter.inc(converted)
+        self.metrics.counter("tdx.pages_converted").inc(pages)
         return duration
-
-    # -- bounce-buffer management -------------------------------------------
-
-    def dma_alloc_bounce(self, size: int) -> Generator:
-        """Allocate a DMA-capable bounce region (dma_alloc_* path).
-
-        Returns the bounce slot address.  Under CC this is the
-        dma_direct_alloc + swiotlb + set_memory_decrypted path from
-        Fig. 8; in a regular VM DMA goes direct and the "bounce" is
-        just an address reservation with negligible cost.
-        """
-        with self.stacks.frame("dma_direct_alloc"):
-            with self.spans.span("dma_direct_alloc", "driver", bytes=size):
-                slot = self.bounce.alloc(size)
-                try:
-                    if self.cc:
-                        with self.stacks.frame("swiotlb_tbl_map_single"):
-                            self.stacks.record(500 * max(1, size // (1 << 20)))
-                        yield from self.hypercall("tdvmcall.mapgpa")
-                        num_pages = (size + self.config.tdx.page_size - 1) // self.config.tdx.page_size
-                        duration = num_pages * self.config.tdx.page_convert_ns
-                        self.pages_converted += num_pages
-                        with self.stacks.frame("set_memory_decrypted"):
-                            self.stacks.record(duration)
-                        yield self.sim.timeout(duration)
-                        self.spans.record(
-                            "set_memory_decrypted",
-                            "td",
-                            self.sim.now - duration,
-                            duration,
-                            pages=num_pages,
-                        )
-                        counter = self._pages_converted_counter
-                        if counter is None:
-                            counter = self._pages_converted_counter = (
-                                self.metrics.counter("tdx.pages_converted")
-                            )
-                        counter.inc(num_pages)
-                except BaseException:
-                    # The mapping failed: the slot must not leak.
-                    self.bounce.free(slot)
-                    raise
-        return slot
-
-    def dma_free_bounce(self, slot: int) -> None:
-        self.bounce.free(slot)
 
     # -- software crypto (OpenSSL AES-GCM with AES-NI, Sec. II-A) ------------
 
@@ -313,9 +219,6 @@ class GuestContext:
         if not self.cc or size <= 0:
             return 0
         duration = self.crypt_time_ns(size, algorithm)
-        with self.stacks.frame("openssl.EVP_EncryptUpdate"):
-            with self.stacks.frame("aesni_gcm_encrypt"):
-                self.stacks.record(duration)
         yield self.sim.timeout(duration)
         self.spans.record(
             "aes_gcm",

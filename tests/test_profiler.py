@@ -9,8 +9,8 @@ from repro.config import CopyKind, MemoryKind
 from repro.profiler import (
     EventKind,
     SummaryStats,
+    Span,
     Trace,
-    build_tree,
     cdf,
     cdf_at,
     frame_share,
@@ -21,6 +21,7 @@ from repro.profiler import (
     ratio_of_totals,
     render_ascii,
     sync_event,
+    tree_from_spans,
 )
 
 
@@ -144,13 +145,17 @@ def test_ratio_helpers():
 # --- flame graphs ---------------------------------------------------------
 
 
+def _flame(*rows):
+    """Fold hand-built spans given as (span_id, parent_id, name, ns)."""
+    return tree_from_spans(
+        Span(span_id, parent_id, name, "driver", 0, duration_ns)
+        for span_id, parent_id, name, duration_ns in rows
+    )
+
+
 def test_flame_tree_aggregation():
-    samples = {
-        ("a", "b"): 60,
-        ("a", "c"): 30,
-        ("a",): 10,
-    }
-    tree = build_tree(samples, root_name="root")
+    tree = _flame((1, None, "a", 100), (2, 1, "b", 60), (3, 1, "c", 30))
+    assert tree.name == "root"
     assert tree.total_ns == 100
     a = tree.children["a"]
     assert a.total_ns == 100
@@ -159,13 +164,13 @@ def test_flame_tree_aggregation():
 
 
 def test_frame_share():
-    tree = build_tree({("a", "hot"): 75, ("a", "cold"): 25})
+    tree = _flame((1, None, "a", 100), (2, 1, "hot", 75), (3, 1, "cold", 25))
     assert frame_share(tree, "hot") == pytest.approx(0.75)
     assert frame_share(tree, "missing") == 0.0
 
 
 def test_render_ascii_contains_frames_and_shares():
-    tree = build_tree({("launch", "hypercall"): 90, ("launch",): 10})
+    tree = _flame((1, None, "launch", 100), (2, 1, "hypercall", 90))
     text = render_ascii(tree)
     assert "launch" in text
     assert "hypercall" in text

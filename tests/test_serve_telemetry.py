@@ -17,6 +17,7 @@ from repro.config import SystemConfig
 from repro.core.intervals import intersect, merge, subtract
 from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
+from repro.figures.ext_fault_serving import spec_for as fault_spec_for
 from repro.obs import summary
 from repro.optim import parse_pipeline
 from repro.profiler.importers import from_chrome_trace
@@ -347,6 +348,24 @@ def test_attribution_conserves_under_paging_and_faults():
         else:
             # fault pressure must produce non-completed terminals
             assert statuses - {"completed"}
+
+
+def test_engine_give_up_fails_unarrived_requests_at_arrival():
+    # An engine that gives up early fails every request that has not
+    # arrived yet; each must end no earlier than it arrived, so its
+    # (empty) attribution still conserves.
+    _, result = run_scenario(
+        fault_spec_for("none", 42, 1.0),
+        SystemConfig.base(seed=1).replace(faults=fault_plan_for(0.2)),
+        telemetry=True,
+    )
+    down = [a for a in result.attributions if a.cause == "engine_down"]
+    assert down, "expected requests failed after the engine gave up"
+    give_up_ns = min(a.finish_ns for a in down)
+    assert any(a.arrival_ns > give_up_ns for a in down)
+    for a in result.attributions:
+        assert a.finish_ns >= a.arrival_ns
+        assert sum(a.components.values()) == a.e2e_ns
 
 
 def test_forensics_percentiles_reproduce_verdict(cc_run):

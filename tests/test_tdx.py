@@ -1,11 +1,15 @@
-"""Tests for the TDX guest-context cost model and call-stack recorder."""
+"""Tests for the TDX guest-context cost model and its page-conversion
+and hypercall bookkeeping."""
 
 import pytest
 
 from repro import units
 from repro.config import SystemConfig
+from repro.cuda import Machine
+from repro.gpu import nanosleep_kernel
 from repro.sim import Simulator
-from repro.tdx import CallStackRecorder, GuestContext
+from repro.tdx import GuestContext
+from repro.workloads import CATALOG
 
 
 def run(gen, sim):
@@ -40,23 +44,6 @@ def test_cpu_work_td_tax():
     assert cc_sim.now == pytest.approx(base_sim.now * 1.04, rel=0.01)
 
 
-def test_accept_pages_noop_in_base_mode():
-    sim = Simulator()
-    guest = GuestContext(sim, SystemConfig.base())
-    run(guest.accept_pages(100), sim)
-    assert sim.now == 0
-    assert guest.pages_accepted == 0
-
-
-def test_accept_pages_scales_with_count():
-    sim = Simulator()
-    config = SystemConfig.confidential()
-    guest = GuestContext(sim, config)
-    run(guest.accept_pages(10), sim)
-    assert sim.now == 10 * config.tdx.page_accept_ns
-    assert guest.pages_accepted == 10
-
-
 def test_set_memory_decrypted_timed_and_tracked():
     sim = Simulator()
     config = SystemConfig.confidential()
@@ -71,17 +58,50 @@ def test_set_memory_decrypted_timed_and_tracked():
     assert sim.now == before
 
 
-def test_dma_alloc_bounce_converts_and_costs_more_under_cc():
-    base_sim, cc_sim = Simulator(), Simulator()
-    base = GuestContext(base_sim, SystemConfig.base())
-    cc = GuestContext(cc_sim, SystemConfig.confidential())
-    slot_base = base_sim.run(until=base_sim.process(base.dma_alloc_bounce(64 * units.KiB)))
-    slot_cc = cc_sim.run(until=cc_sim.process(cc.dma_alloc_bounce(64 * units.KiB)))
-    assert slot_base is not None and slot_cc is not None
-    assert cc_sim.now > 10 * max(base_sim.now, 1)
-    assert cc.pages_converted == 16
-    cc.dma_free_bounce(slot_cc)
-    assert cc.bounce.used_bytes == 0
+def _first_launch(config):
+    """Boot a machine and run one first launch of a 16-page module."""
+    machine = Machine(config)
+    kernel = nanosleep_kernel(units.us(10))
+    kernel.attrs["module_pages"] = 16
+
+    def app(rt):
+        yield from rt.launch(kernel)
+
+    machine.run(app)
+    return machine
+
+
+def test_first_launch_converts_module_pages_and_costs_more_under_cc():
+    base = _first_launch(SystemConfig.base())
+    cc = _first_launch(SystemConfig.confidential())
+    assert base.guest.pages_converted == 0
+    assert cc.guest.pages_converted == 16
+    assert cc.elapsed_ns > base.elapsed_ns + 16 * cc.config.tdx.page_convert_ns
+    (convert,) = [s for s in cc.trace.spans if s.name == "set_memory_decrypted"]
+    assert convert.layer == "td"
+    assert convert.attrs["pages"] == 16
+    assert convert.duration_ns == 16 * cc.config.tdx.page_convert_ns
+
+
+@pytest.mark.parametrize("app", ["backprop", "cnn", "dwt2d", "3mm"])
+@pytest.mark.parametrize("uvm", [False, True])
+@pytest.mark.parametrize("cc", [False, True])
+def test_page_conversion_and_hypercall_bookkeeping_agree(app, uvm, cc):
+    # Spans, guest counters and the metrics registry book every page
+    # conversion and hypercall exactly once.
+    machine = Machine(SystemConfig.confidential() if cc else SystemConfig.base())
+    machine.run(CATALOG[app].app(uvm))
+    counters = {
+        m.name: m.value for m in machine.trace.metrics.sampled() if m.kind == "counter"
+    }
+    span_pages = sum(
+        s.attrs["pages"] for s in machine.trace.spans if s.name == "set_memory_decrypted"
+    )
+    guest = machine.guest
+    assert span_pages == guest.pages_converted
+    assert counters.get("tdx.pages_converted", 0) == guest.pages_converted
+    assert counters.get("tdx.hypercalls", 0) == guest.hypercall_count
+    assert (guest.pages_converted > 0) == cc
 
 
 def test_encrypt_noop_in_base_mode():
@@ -110,47 +130,3 @@ def test_jitter_seeded_and_bounded():
     # Deterministic across same-seed contexts.
     guest2 = GuestContext(Simulator(), SystemConfig.base())
     assert [guest2.jitter(units.us(10), 0.14) for _ in range(5)] == values[:5]
-
-
-# --- call-stack recorder ---------------------------------------------------
-
-
-def test_callstack_records_nested_frames():
-    rec = CallStackRecorder()
-    with rec.frame("a"):
-        with rec.frame("b"):
-            rec.record(100)
-        rec.record(50)
-    assert rec.samples == {("a", "b"): 100, ("a",): 50}
-    assert rec.total_ns() == 150
-
-
-def test_callstack_inclusive():
-    rec = CallStackRecorder()
-    with rec.frame("launch"):
-        with rec.frame("tdx_hypercall"):
-            rec.record(70)
-        rec.record(30)
-    assert rec.inclusive_ns("tdx_hypercall") == 70
-    assert rec.inclusive_ns("launch") == 100
-
-
-def test_callstack_folded_format():
-    rec = CallStackRecorder()
-    with rec.frame("x"):
-        with rec.frame("y"):
-            rec.record(42)
-    assert rec.folded() == ["x;y 42"]
-
-
-def test_callstack_empty_stack_goes_to_root():
-    rec = CallStackRecorder()
-    rec.record(10)
-    assert rec.samples == {("<root>",): 10}
-
-
-def test_callstack_ignores_nonpositive():
-    rec = CallStackRecorder()
-    rec.record(0)
-    rec.record(-5)
-    assert rec.total_ns() == 0
