@@ -10,7 +10,6 @@ from .metrics import (
     kernel_to_launch_ratio,
     launch_metrics,
     mgmt_time_by_api,
-    total_copy_time_ns,
 )
 from .model import ModelDecomposition, decompose
 from . import intervals
@@ -29,5 +28,4 @@ __all__ = [
     "kernel_to_launch_ratio",
     "launch_metrics",
     "mgmt_time_by_api",
-    "total_copy_time_ns",
 ]

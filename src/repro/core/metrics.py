@@ -105,10 +105,6 @@ def copy_time_by_kind(trace: Trace) -> Dict[CopyKind, int]:
     return totals
 
 
-def total_copy_time_ns(trace: Trace) -> int:
-    return trace.total_duration_ns(EventKind.MEMCPY)
-
-
 def mgmt_time_by_api(trace: Trace) -> Dict[str, int]:
     """Alloc/free time per API name (Fig. 6 rows)."""
     totals: Dict[str, int] = {}

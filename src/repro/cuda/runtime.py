@@ -432,6 +432,8 @@ class CudaRuntime:
         single OpenSSL worker under CC — the reason overlap is harder
         with CC on, Fig. 12c); the DMA portion runs on a copy engine."""
         size = size if size is not None else min(dst.size, src.size)
+        if size > dst.size or size > src.size:
+            raise CudaError("copy larger than buffer")
         copy_kind, memory = self._infer_copy(dst, src)
         cold = self._take_warmth(dst, src, copy_kind)
         plan = plan_copy(self.config, self.guest, copy_kind, size, memory, cold)

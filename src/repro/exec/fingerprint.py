@@ -47,15 +47,15 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # driver (tune) are scoped out of the core too: only the figures that
 # actually import them (``_OPTIM_DEPENDENT_MODULES``) fold
 # ``optim_fingerprint()`` into their cell key, so editing a pass or the
-# tuner re-simulates the recovered/tuning figures without invalidating
+# tuner re-simulates the recovered-serving figure without invalidating
 # the rest of the grid.
 _CORE_EXCLUDED_DIRS = ("figures", "exec", "check", "optim", "tune")
 _CORE_EXCLUDED_FILES = ("cli.py",)
 
 #: Figure modules whose payloads depend on :mod:`repro.optim` (they
-#: import passes or sweep helpers); keep in sync with the figure
-#: modules' imports — test_exec.py's invalidation matrix enforces it.
-_OPTIM_DEPENDENT_MODULES = ("extensions", "ext_recovered_serving")
+#: import its passes); keep in sync with the figure modules' imports —
+#: test_exec.py's invalidation matrix enforces it.
+_OPTIM_DEPENDENT_MODULES = ("ext_recovered_serving",)
 
 
 def _sha256(parts: Iterable[bytes]) -> str:

@@ -21,7 +21,7 @@ runs one of them on the simulator:
 from __future__ import annotations
 
 import dataclasses
-from typing import Sequence
+from typing import Dict, Sequence
 
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
@@ -29,7 +29,6 @@ from ..cuda import Machine, run_app
 from ..cuda.transfers import achieved_bandwidth_gbps, plan_copy
 from ..faults import FaultPlan
 from ..gpu import nanosleep_kernel
-from ..optim import sweep_graph_batches
 from ..sim import Simulator
 from ..tdx import GuestContext, attest_gpu
 from ..workloads import CATALOG
@@ -117,6 +116,39 @@ def generate_crypto_scaling(
     return figure
 
 
+def _graph_app(rt, num_launches: int, per_kernel_ns: int, graph_batch: int):
+    """An iterative single-kernel app (3dconv-style) launched through
+    cudaGraphs of ``graph_batch`` nodes, remainder launched singly."""
+    kernel = nanosleep_kernel(per_kernel_ns, name="graph_node")
+    graph = yield from rt.graph_create([kernel] * graph_batch)
+    full, remainder = divmod(num_launches, graph_batch)
+    for _ in range(full):
+        yield from rt.graph_launch(graph)
+    for _ in range(remainder):
+        yield from rt.launch(kernel)
+    yield from rt.synchronize()
+
+
+def _graph_batch_times(
+    config: SystemConfig,
+    num_launches: int,
+    per_kernel_ns: int,
+    batches: Sequence[int],
+) -> Dict[int, int]:
+    """Graph-batch size -> end-to-end ns."""
+    times = {}
+    for batch in batches:
+        trace, _ = run_app(
+            _graph_app,
+            config,
+            num_launches=num_launches,
+            per_kernel_ns=per_kernel_ns,
+            graph_batch=batch,
+        )
+        times[batch] = trace.span_ns()
+    return times
+
+
 def generate_graph_fusion_cc(
     batches: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
     num_launches: int = 254,
@@ -130,10 +162,7 @@ def generate_graph_fusion_cc(
         ("base", SystemConfig.base()),
         ("cc", SystemConfig.confidential()),
     ):
-        times = sweep_graph_batches(
-            config, num_launches=num_launches,
-            per_kernel_ns=per_kernel_ns, batches=batches,
-        )
+        times = _graph_batch_times(config, num_launches, per_kernel_ns, batches)
         optima[label] = min(times, key=times.get)
         for batch in batches:
             rows.append((label, batch, round(units.to_ms(times[batch]), 4)))

@@ -288,7 +288,3 @@ ALL_OBSERVATIONS: Dict[int, Callable[[], ObservationResult]] = {
     8: observation_8,
     9: observation_9,
 }
-
-
-def evaluate_all() -> List[ObservationResult]:
-    return [ALL_OBSERVATIONS[number]() for number in sorted(ALL_OBSERVATIONS)]

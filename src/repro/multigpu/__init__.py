@@ -5,7 +5,6 @@ collectives (the scaling direction of paper Sec. VIII)."""
 from .collectives import (
     RING_REDUCE_NS_PER_BYTE,
     CollectiveResult,
-    all_reduce_sweep,
     best_all_reduce,
     broadcast,
     hierarchical_all_reduce,
@@ -34,7 +33,6 @@ __all__ = [
     "ReplayError",
     "SecureChannel",
     "SessionStats",
-    "all_reduce_sweep",
     "best_all_reduce",
     "broadcast",
     "effective_bandwidth_gbps",

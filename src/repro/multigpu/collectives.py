@@ -10,7 +10,6 @@ distributed training — the scaling concern paper Sec. VIII points at.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence
 
 from .. import units
 from .links import LinkSecurity, MultiGPUNode, transfer_time_ns
@@ -159,20 +158,3 @@ def hierarchical_all_reduce(
         security,
         total,
     )
-
-
-def all_reduce_sweep(
-    gpu_counts: Sequence[int],
-    sizes: Sequence[int],
-) -> Dict[tuple, CollectiveResult]:
-    """All-reduce times over (gpus, size, security) — the extension
-    experiment's data."""
-    results: Dict[tuple, CollectiveResult] = {}
-    for num_gpus in gpu_counts:
-        node = MultiGPUNode(num_gpus=num_gpus)
-        for size in sizes:
-            for security in LinkSecurity:
-                results[(num_gpus, size, security)] = ring_all_reduce(
-                    node, size, security
-                )
-    return results

@@ -1,21 +1,17 @@
-"""Optimizations the paper evaluates against CC overheads
-(Sec. VII-A): kernel/launch fusion and copy/compute overlap.
-Quantization (the third mitigation) lives with its workloads in
-:mod:`repro.dnn` (AMP/FP16) and :mod:`repro.llm` (AWQ).
+"""Executable CC-mitigation passes over serving scenarios (paper
+Sec. VII-A/VII-B).
 
-:mod:`repro.optim.passes` composes these mitigations into validated,
-ordered :class:`~repro.optim.passes.PassPipeline` transforms over
-serving scenarios — the policy layer the ``repro tune`` auto-tuner
-(:mod:`repro.tune`) searches over."""
+Each pass encodes one mitigation the paper evaluates (kernel fusion,
+copy/compute overlap, batched token download, staging reuse,
+quantization) as a pure rewrite of a serving scenario's engine
+tuning; :class:`~repro.optim.passes.PassPipeline` composes them into
+the validated, ordered transforms the ``repro tune`` auto-tuner
+(:mod:`repro.tune`) searches over.
 
-from .fusion import (
-    FusionPlan,
-    best_fusion_level,
-    graph_fusion_time,
-    sweep_fusion_levels,
-    sweep_graph_batches,
-)
-from .overlap import OverlapPlan, compute_to_io_ratio, sweep_streams
+The paper's own fusion and overlap experiments (Fig. 12) are
+:func:`repro.workloads.fusion_sweep` and
+:func:`repro.workloads.overlap_experiment`."""
+
 from .passes import (
     PASS_FAMILIES,
     QUANT_ACCURACY_DROP_PCT,
@@ -33,21 +29,13 @@ from .passes import (
 __all__ = [
     "BatchedTokenDownloadPass",
     "CopyOverlapPass",
-    "FusionPlan",
     "KernelFusionPass",
     "MitigationPass",
-    "OverlapPlan",
     "PASS_FAMILIES",
     "PassError",
     "PassPipeline",
     "QUANT_ACCURACY_DROP_PCT",
     "QuantizationPass",
     "StagingReusePass",
-    "best_fusion_level",
-    "compute_to_io_ratio",
-    "graph_fusion_time",
     "parse_pipeline",
-    "sweep_fusion_levels",
-    "sweep_graph_batches",
-    "sweep_streams",
 ]

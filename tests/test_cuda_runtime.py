@@ -4,7 +4,7 @@ import pytest
 
 from repro import units
 from repro.config import SystemConfig
-from repro.cuda import Machine, run_app, run_base_and_cc
+from repro.cuda import CudaError, Machine, run_app, run_base_and_cc
 from repro.gpu import KernelSpec, nanosleep_kernel
 from repro.profiler import EventKind
 
@@ -157,6 +157,26 @@ def test_host_to_host_copy_rejected():
 
     with pytest.raises(Exception):
         run_app(bad_app, SystemConfig.base())
+
+
+@pytest.mark.parametrize(
+    "config", [SystemConfig.base(), SystemConfig.confidential()],
+    ids=["base", "cc"],
+)
+def test_async_copy_larger_than_buffer_rejected(config):
+    """memcpy_async bounds-checks like memcpy, before paying any cost."""
+    def oversize_app(rt):
+        dev = yield from rt.malloc(4096)
+        host = yield from rt.malloc_host(4096)
+        stream = rt.create_stream()
+        before = rt.sim.now
+        with pytest.raises(CudaError, match="copy larger than buffer"):
+            yield from rt.memcpy_async(dev, host, stream=stream, size=1 << 20)
+        return rt.sim.now - before
+
+    trace, elapsed = run_app(oversize_app, config)
+    assert elapsed == 0
+    assert trace.memcpys() == []
 
 
 def test_streams_overlap_kernels():

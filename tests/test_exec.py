@@ -119,16 +119,19 @@ def _with_edit(monkeypatch, suffix):
 _MATRIX = [
     ("repro/optim/passes.py",
      {"table1_config": False, "ext_serving": False,
-      "extensions": True, "ext_recovered_serving": True}),
+      "extensions": False, "ext_recovered_serving": True}),
     ("repro/tune/driver.py",
      {"table1_config": False, "ext_serving": False,
-      "extensions": True, "ext_recovered_serving": True}),
+      "extensions": False, "ext_recovered_serving": True}),
     ("repro/units.py",
      {"table1_config": True, "ext_serving": True,
       "extensions": True, "ext_recovered_serving": True}),
     ("repro/figures/ext_recovered_serving.py",
      {"table1_config": False, "ext_serving": False,
       "extensions": False, "ext_recovered_serving": True}),
+    ("repro/figures/extensions.py",
+     {"table1_config": False, "ext_serving": False,
+      "extensions": True, "ext_recovered_serving": False}),
 ]
 
 
