@@ -21,13 +21,13 @@ MACs, with monotonic-counter replay protection that tests can poke.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Tuple
 
 from .. import units
 from ..crypto import AESCTR, GHASH
-from ..crypto.sha256 import hmac_sha256
 
 
 class LinkSecurity(Enum):
@@ -101,7 +101,7 @@ class SecureChannel:
 
     def __init__(self, key: bytes, channel_id: int = 0) -> None:
         self._ctr = AESCTR(key)
-        self._mac_key = hmac_sha256(key, b"gmac-subkey")[:16]
+        self._mac_key = hmac.digest(key, b"gmac-subkey", "sha256")[:16]
         self.channel_id = channel_id
         self.send_counter = 0
         self.recv_counter = -1
@@ -155,8 +155,8 @@ class MultiGPUNode:
             raise ValueError("no self-links")
         key = (src, dst)
         if key not in self._channels:
-            channel_key = hmac_sha256(
-                self.session_key, bytes([src, dst])
+            channel_key = hmac.digest(
+                self.session_key, bytes([src, dst]), "sha256"
             )[:16]
             self._channels[key] = SecureChannel(
                 channel_key, channel_id=src * 256 + dst

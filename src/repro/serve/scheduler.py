@@ -38,8 +38,6 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, Generator, List, Optional
 
-import numpy as np
-
 from .. import units
 from ..config import SystemConfig
 from ..cuda import CudaRuntime, run_app
@@ -970,7 +968,7 @@ class ServingEngine:
                     step_spec = self.backend.decode_kernel(
                         config,
                         len(plan.decode_ids),
-                        float(np.mean(contexts)),
+                        sum(contexts) / len(contexts),
                     )
                     step_ids = tuple(plan.decode_ids)
                     sync_tokens = len(plan.decode_ids)

@@ -25,12 +25,13 @@ hypercall-mediated, so CC session setup is measurably slower — the
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 from dataclasses import dataclass
 from typing import Generator, Optional
 
 from .. import units
 from ..config import SystemConfig
-from ..crypto.sha256 import hkdf_expand, hmac_sha256, sha256
 from ..faults import SPDM as SPDM_SITE
 from ..faults import FatalFault
 from ..sim import Simulator
@@ -83,6 +84,27 @@ _MESSAGE_NAMES = {
 }
 
 
+def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
+    """HKDF-Expand (RFC 5869) with HMAC-SHA256."""
+    if length > 255 * 32:
+        raise ValueError("hkdf output too long")
+    output = b""
+    block = b""
+    counter = 1
+    while len(output) < length:
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
+        output += block
+        counter += 1
+    return output[:length]
+
+
+def _derive_session_key(secret: bytes, transcript: bytes) -> bytes:
+    """SPDM key schedule: both endpoints key the session from the
+    transcript hash and the provisioned secret."""
+    prk = hmac.digest(secret, hashlib.sha256(transcript).digest(), "sha256")
+    return hkdf_expand(prk, b"spdm session key", 16)
+
+
 @dataclass
 class SpdmMessage:
     code: int
@@ -115,32 +137,30 @@ class SpdmResponder:
                 NEGOTIATE_ALGORITHMS ^ _RESPONSE_BIT, b"SHA256|AES128GCM"
             )
         elif request.code == GET_CERTIFICATE:
-            cert = b"H100-CC-device-cert:" + sha256(self._secret)
+            cert = b"H100-CC-device-cert:" + hashlib.sha256(self._secret).digest()
             response = SpdmMessage(GET_CERTIFICATE ^ _RESPONSE_BIT, cert)
         elif request.code == CHALLENGE:
             nonce = request.payload
-            proof = hmac_sha256(
-                self._secret, self._transcript + nonce + self.measurement
+            proof = hmac.digest(
+                self._secret, self._transcript + nonce + self.measurement, "sha256"
             )
             response = SpdmMessage(
                 CHALLENGE ^ _RESPONSE_BIT, self.measurement + proof
             )
         elif request.code == KEY_EXCHANGE:
             exchange_data = request.payload
-            proof = hmac_sha256(self._secret, self._transcript + exchange_data)
+            proof = hmac.digest(
+                self._secret, self._transcript + exchange_data, "sha256"
+            )
             response = SpdmMessage(KEY_EXCHANGE ^ _RESPONSE_BIT, proof)
         elif request.code == FINISH:
-            self.session_key = self._derive_key()
-            confirm = hmac_sha256(self.session_key, b"spdm-finish-rsp")
+            self.session_key = _derive_session_key(self._secret, self._transcript)
+            confirm = hmac.digest(self.session_key, b"spdm-finish-rsp", "sha256")
             response = SpdmMessage(FINISH ^ _RESPONSE_BIT, confirm)
         else:
             raise SpdmError(f"unsupported request code {request.code:#x}")
         self._transcript += response.to_bytes()
         return response
-
-    def _derive_key(self) -> bytes:
-        prk = hmac_sha256(self._secret, sha256(self._transcript))
-        return hkdf_expand(prk, b"spdm session key", 16)
 
 
 @dataclass
@@ -221,7 +241,7 @@ class SpdmRequester:
             messages += 1
 
         # CHALLENGE: verify the device's measurement proof.
-        nonce = sha256(self._transcript)[:16]
+        nonce = hashlib.sha256(self._transcript).digest()[:16]
         transcript_at_challenge = self._transcript + SpdmMessage(
             CHALLENGE, nonce
         ).to_bytes()
@@ -230,8 +250,8 @@ class SpdmRequester:
         )
         messages += 1
         measurement, proof = response.payload[:32], response.payload[32:]
-        expected = hmac_sha256(
-            self._secret, transcript_at_challenge + nonce + measurement
+        expected = hmac.digest(
+            self._secret, transcript_at_challenge + nonce + measurement, "sha256"
         )
         if proof != expected:
             raise SpdmError("challenge proof verification failed")
@@ -239,7 +259,7 @@ class SpdmRequester:
             raise SpdmError("GPU measurement does not match policy")
 
         # KEY_EXCHANGE + FINISH.
-        exchange = sha256(b"dhe-public:" + nonce)[:32]
+        exchange = hashlib.sha256(b"dhe-public:" + nonce).digest()
         transcript_at_kex = self._transcript + SpdmMessage(
             KEY_EXCHANGE, exchange
         ).to_bytes()
@@ -247,8 +267,8 @@ class SpdmRequester:
             responder, SpdmMessage(KEY_EXCHANGE, exchange)
         )
         messages += 1
-        if response.payload != hmac_sha256(
-            self._secret, transcript_at_kex + exchange
+        if response.payload != hmac.digest(
+            self._secret, transcript_at_kex + exchange, "sha256"
         ):
             raise SpdmError("key-exchange proof verification failed")
         # Both sides derive the session key over the transcript up to
@@ -259,22 +279,18 @@ class SpdmRequester:
         response = yield from self._round_trip(responder, finish_request)
         messages += 1
 
-        session_key = self._derive_key(transcript_at_finish)
-        if response.payload != hmac_sha256(session_key, b"spdm-finish-rsp"):
+        session_key = _derive_session_key(self._secret, transcript_at_finish)
+        if response.payload != hmac.digest(session_key, b"spdm-finish-rsp", "sha256"):
             raise SpdmError("finish confirmation mismatch")
         if responder.session_key != session_key:
             raise SpdmError("key schedule divergence")
         return SpdmSession(
             session_key=session_key,
             measurement=measurement,
-            transcript_hash=sha256(self._transcript),
+            transcript_hash=hashlib.sha256(self._transcript).digest(),
             elapsed_ns=self.sim.now - start,
             messages=messages,
         )
-
-    def _derive_key(self, transcript: bytes) -> bytes:
-        prk = hmac_sha256(self._secret, sha256(transcript))
-        return hkdf_expand(prk, b"spdm session key", 16)
 
 
 def attest_gpu(
@@ -298,7 +314,8 @@ def attest_gpu(
     injection) are *not* retried; retry exhaustion raises
     :class:`~repro.faults.FatalFault`.
     """
-    measurement = measurement if measurement is not None else sha256(b"h100-cc-fw")
+    if measurement is None:
+        measurement = hashlib.sha256(b"h100-cc-fw").digest()
     expected = (
         expected_measurement if expected_measurement is not None else measurement
     )

@@ -117,6 +117,13 @@ def test_cross_pair_keys_differ():
     assert ciphertext_a != ciphertext_b
 
 
+def test_channel_key_schedule_known_answer():
+    """Pins the per-pair channel key and the MAC subkey derived from it."""
+    assert MultiGPUNode().channel(0, 1)._mac_key.hex() == (
+        "730a95a6db64ec9fac5be032ff56a335"
+    )
+
+
 # --- collectives ------------------------------------------------------------
 
 

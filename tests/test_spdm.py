@@ -1,12 +1,13 @@
 """Tests for the SPDM attestation/session-establishment model."""
 
+from hashlib import sha256
+
 import pytest
 
 from repro.config import SystemConfig
-from repro.crypto.sha256 import sha256
 from repro.sim import Simulator
 from repro.tdx import GuestContext, SpdmError, attest_gpu
-from repro.tdx.spdm import SpdmMessage, SpdmResponder
+from repro.tdx.spdm import SpdmMessage, SpdmResponder, hkdf_expand
 
 
 def _run_attest(config, **kwargs):
@@ -22,6 +23,17 @@ def test_session_establishes_and_keys_agree():
     assert len(session.session_key) == 16
     assert session.messages == 7
     assert len(session.transcript_hash) == 32
+
+
+def test_session_known_answer():
+    """Pins the transcript, key schedule and timing of the default flow."""
+    session, _sim, _guest = _run_attest(SystemConfig.confidential())
+    assert session.session_key.hex() == "29a085e5fd2e4c1c5bf479868982b425"
+    assert session.transcript_hash.hex() == (
+        "dba8aae0c049ad6ce263c5af33660ef74dc0e87a1fea8de47d055e081b5d176d"
+    )
+    assert session.elapsed_ns == 2925095
+    assert session.messages == 7
 
 
 def test_session_deterministic():
@@ -46,8 +58,8 @@ def test_wrong_measurement_rejected():
     with pytest.raises(SpdmError, match="measurement"):
         _run_attest(
             SystemConfig.confidential(),
-            measurement=sha256(b"tampered-firmware"),
-            expected_measurement=sha256(b"h100-cc-fw"),
+            measurement=sha256(b"tampered-firmware").digest(),
+            expected_measurement=sha256(b"h100-cc-fw").digest(),
         )
 
 
@@ -58,7 +70,7 @@ def test_wrong_device_secret_rejected():
     guest = GuestContext(sim, config)
     from repro.tdx.spdm import SpdmRequester
 
-    measurement = sha256(b"h100-cc-fw")
+    measurement = sha256(b"h100-cc-fw").digest()
     impostor = SpdmResponder(b"wrong-secret", measurement)
     requester = SpdmRequester(
         sim, guest, config, measurement, b"h100-provisioned-secret"
@@ -69,7 +81,7 @@ def test_wrong_device_secret_rejected():
 
 
 def test_responder_rejects_unknown_code():
-    responder = SpdmResponder(b"secret", sha256(b"fw"))
+    responder = SpdmResponder(b"secret", sha256(b"fw").digest())
     with pytest.raises(SpdmError):
         responder.handle(SpdmMessage(0x7F, b""))
 
@@ -82,3 +94,21 @@ def test_session_key_differs_per_device_secret():
         SystemConfig.confidential(), device_secret=b"device-b"
     )
     assert a.session_key != b.session_key
+
+
+# RFC 5869 test case 1 (Expand step).
+def test_hkdf_rfc5869_case1():
+    prk = bytes.fromhex(
+        "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5"
+    )
+    info = bytes.fromhex("f0f1f2f3f4f5f6f7f8f9")
+    okm = hkdf_expand(prk, info, 42)
+    assert okm.hex() == (
+        "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+        "34007208d5b887185865"
+    )
+
+
+def test_hkdf_length_limit():
+    with pytest.raises(ValueError):
+        hkdf_expand(b"\x00" * 32, b"", 256 * 32)
