@@ -686,6 +686,10 @@ class CudaRuntime:
         managed_touches: Sequence[Sequence[Tuple[ManagedBuffer, int]]] = (),
     ) -> Generator:
         """Capture + instantiate a graph of sequential kernel nodes."""
+        # Validate every node before any cost is paid, as launch() does:
+        # a bad spec must fail here, not in the detached GPU process.
+        for kernel in kernels:
+            kernel.base_duration_ns(self._gpu_spec, self._cc)
         cfg = self.config.launch
         cost = cfg.graph_instantiate_base_ns + cfg.graph_capture_per_node_ns * len(
             kernels

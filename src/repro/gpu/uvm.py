@@ -16,7 +16,7 @@ this is what blows UVM kernel time up by orders of magnitude
 
 from __future__ import annotations
 
-from typing import Dict, Generator, Set
+from typing import Dict, Generator
 
 from .. import units
 from ..config import SystemConfig
@@ -24,42 +24,49 @@ from ..tdx import GuestContext
 
 
 class ManagedAllocation:
-    """Residency bookkeeping for one cudaMallocManaged region."""
+    """Residency bookkeeping for one cudaMallocManaged region.
+
+    One byte per chunk (1 = on the GPU), so every query and update is a
+    C-level ``count`` or slice assignment rather than a Python loop.
+    """
 
     def __init__(self, size: int, chunk_bytes: int) -> None:
         self.size = size
         self.chunk_bytes = chunk_bytes
         self.num_chunks = units.pages(size, chunk_bytes)
-        self._on_gpu: Set[int] = set()
+        self._on_gpu = bytearray(self.num_chunks)
         self.last_touch_ns: int = 0
 
     def resident_chunks(self) -> int:
-        return len(self._on_gpu)
+        return self._on_gpu.count(1)
 
     @property
     def resident_bytes(self) -> int:
-        return len(self._on_gpu) * self.chunk_bytes
+        return self._on_gpu.count(1) * self.chunk_bytes
 
     def evict_all(self) -> int:
         """Drop every resident chunk; returns chunks evicted."""
-        count = len(self._on_gpu)
-        self._on_gpu.clear()
+        count = self._on_gpu.count(1)
+        self._on_gpu = bytearray(self.num_chunks)
         return count
+
+    def _prefix_chunks(self, byte_count: int) -> int:
+        return min(units.pages(byte_count, self.chunk_bytes), self.num_chunks)
 
     def nonresident_in_prefix(self, byte_count: int) -> int:
         """Chunks within the first ``byte_count`` bytes not on the GPU."""
-        wanted = min(units.pages(byte_count, self.chunk_bytes), self.num_chunks)
-        return sum(1 for c in range(wanted) if c not in self._on_gpu)
+        wanted = self._prefix_chunks(byte_count)
+        return wanted - self._on_gpu.count(1, 0, wanted)
 
     def mark_resident(self, byte_count: int) -> None:
-        wanted = min(units.pages(byte_count, self.chunk_bytes), self.num_chunks)
-        self._on_gpu.update(range(wanted))
+        wanted = self._prefix_chunks(byte_count)
+        self._on_gpu[:wanted] = b"\x01" * wanted
 
     def evict_to_host(self, byte_count: int) -> int:
         """CPU touch pulls chunks back; returns chunks moved."""
-        wanted = min(units.pages(byte_count, self.chunk_bytes), self.num_chunks)
-        moved = sum(1 for c in range(wanted) if c in self._on_gpu)
-        self._on_gpu.difference_update(range(wanted))
+        wanted = self._prefix_chunks(byte_count)
+        moved = self._on_gpu.count(1, 0, wanted)
+        self._on_gpu[:wanted] = bytes(wanted)
         return moved
 
 
@@ -194,7 +201,6 @@ class UVMManager:
         if self.config.cc_on:
             # Encrypted paging defeats batching: each chunk pays a
             # fault-service round trip.
-            batches = missing
             chunks_per_batch = 1
         else:
             # Fault batching + prefetch: one service round trip brings
@@ -205,21 +211,25 @@ class UVMManager:
                 chunks_per_batch = max(
                     1, (uvm.fault_batch_pages * uvm.os_page_bytes) // chunk_bytes
                 )
-            batches = (missing + chunks_per_batch - 1) // chunks_per_batch
+        full, last = divmod(missing, chunks_per_batch)
+        batches = full + (1 if last else 0)
 
         # In base mode, prefetching and warp parallelism hide part of
         # the migration behind execution; encrypted paging under CC is
         # fully serialized on the CPU crypto worker.
         stall = 1.0 if self.config.cc_on else uvm.stall_fraction
-        remaining = missing
-        for _ in range(batches):
-            in_batch = min(chunks_per_batch, remaining)
-            remaining -= in_batch
-            self.total_faults += 1
-            batch_ns = uvm.fault_service_ns + (
-                self.migration_chunk_time_ns(chunk_bytes) * in_batch
-            )
-            yield self.sim.timeout(max(1, int(batch_ns * stall)))
+        chunk_ns = self.migration_chunk_time_ns(chunk_bytes)
+
+        def batch_ns(chunks: int) -> int:
+            # Each batch is rounded on its own, as if paid separately.
+            return max(1, int((uvm.fault_service_ns + chunk_ns * chunks) * stall))
+
+        # The batches run back to back with nothing shared in between,
+        # so the whole burst is paid with one timeout.
+        self.total_faults += batches
+        yield self.sim.timeout(
+            full * batch_ns(chunks_per_batch) + (batch_ns(last) if last else 0)
+        )
         alloc.mark_resident(byte_count)
         migrated = missing * chunk_bytes
         elapsed = self.sim.now - start
@@ -250,14 +260,15 @@ class UVMManager:
         chunk_bytes = alloc.chunk_bytes
         uvm = self.config.uvm
         if self.config.cc_on:
-            for _ in range(moved):
-                yield self.sim.timeout(uvm.fault_service_ns)
-                yield self.sim.timeout(self.migration_chunk_time_ns(chunk_bytes))
+            # Every chunk pays its own fault round trip and encrypted
+            # copy, back to back: one timeout covers them all.
+            chunk_ns = self.migration_chunk_time_ns(chunk_bytes)
+            yield self.sim.timeout(moved * (uvm.fault_service_ns + chunk_ns))
         else:
             total = moved * chunk_bytes
-            yield self.sim.timeout(uvm.fault_service_ns)
             yield self.sim.timeout(
-                units.transfer_time_ns(total, uvm.migration_bw)
+                uvm.fault_service_ns
+                + units.transfer_time_ns(total, uvm.migration_bw)
             )
         elapsed = self.sim.now - start
         self.guest.spans.record(

@@ -411,10 +411,13 @@ class Simulator:
     lazily when the drain reaches their end.
     """
 
-    __slots__ = ("_now", "_times", "_buckets", "_cursor")
+    __slots__ = ("_now", "_times", "_buckets", "_cursor", "scheduled")
 
     def __init__(self) -> None:
         self._now = 0
+        #: Events ever put on the queue: an exact, wall-clock-free
+        #: measure of kernel work (pinned by ``tests/test_event_counts``).
+        self.scheduled = 0
         self._times: List[int] = []
         self._buckets: Dict[int, List[Event]] = {}
         self._cursor = 0
@@ -449,6 +452,7 @@ class Simulator:
     def _schedule(self, event: Event, delay: int = 0) -> None:
         if delay < 0:
             raise SimulationError("cannot schedule into the past")
+        self.scheduled += 1
         when = self._now + delay
         bucket = self._buckets.get(when)
         if bucket is None:

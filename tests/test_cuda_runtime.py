@@ -291,6 +291,28 @@ def test_graph_launch_single_klo_many_kernels():
     assert len(trace.launches()) == 1
 
 
+@pytest.mark.parametrize(
+    "config", [SystemConfig.base(), SystemConfig.confidential()],
+    ids=["base", "cc"],
+)
+def test_graph_with_invalid_kernel_rejected_before_any_cost(config):
+    """graph_create validates every node in the caller, like launch."""
+    def bad_graph_app(rt):
+        kernels = [
+            nanosleep_kernel(units.us(20), name="ok"),
+            KernelSpec(name="bad", flops=1e9, efficiency=0.0),
+        ]
+        before = rt.sim.now
+        with pytest.raises(ValueError, match="efficiency"):
+            yield from rt.graph_create(kernels)
+        return rt.sim.now - before
+
+    machine = Machine(config)
+    assert machine.run(bad_graph_app) == 0
+    assert len(machine.trace.spans) == 0
+    assert machine.trace.kernels() == []
+
+
 def test_machine_elapsed_tracks_sim_time():
     machine = Machine(SystemConfig.base())
     machine.run(simple_app)
