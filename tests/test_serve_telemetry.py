@@ -23,18 +23,21 @@ from repro.optim import parse_pipeline
 from repro.profiler.importers import from_chrome_trace
 from repro.serve import (
     ATTRIBUTION_COMPONENTS,
+    ClusterSpec,
     EngineOp,
     RequestOutcome,
     ScenarioSpec,
     ServeTelemetry,
     TelemetryError,
     attribute_requests,
+    cluster_verdict_json,
     component_timeline,
     forensics_diff,
     latency_percentiles,
     pick_percentile_request,
     requests_csv,
     requests_jsonl,
+    run_cluster,
     run_scenario,
     tail_report,
     tenant_rollup,
@@ -533,6 +536,62 @@ def test_untuned_cc_export_digests_pinned():
         for name, text in exports.items()
     }
     assert digests == _EXPORT_DIGESTS
+
+
+def _tuned_faulty_exports():
+    _, tuning = parse_pipeline("fusion+overlap:2+batch:4+staging").apply(
+        FAULTY
+    )
+    trace, result = run_scenario(
+        FAULTY, _faulty_config(), telemetry=True, tuning=tuning
+    )
+    assert result.engine.stats["tuning_fused_launches"] > 0
+    return (
+        verdict_json(result),
+        requests_jsonl(result.attributions),
+        trace.to_chrome_trace(),
+    )
+
+
+def _parallel_cc_exports():
+    spec = ClusterSpec(
+        scenario=ScenarioSpec(
+            rate_rps=24.0, duration_ns=units.NS_PER_SEC // 4
+        ),
+        tp=2,
+        pp=2,
+    )
+    traces, result = run_cluster(
+        spec, SystemConfig.confidential(), telemetry=True
+    )
+    assert result.replicas[0].engine.stats["pp_comm_ns"] > 0
+    return (
+        cluster_verdict_json(result),
+        requests_jsonl(result.attributions),
+        traces[0].to_chrome_trace(),
+    )
+
+
+#: SHA-256 of (verdict, request JSONL, Chrome trace) for a tuned CC run
+#: under fault pressure and for one tp=2/pp=2 CC replica: the exports
+#: the flush/overlap/fusion/staging and TP/PP comm paths write.  Do NOT
+#: update without a golden-gate review.
+@pytest.mark.parametrize("run, digests", [
+    pytest.param(_tuned_faulty_exports, (
+        "a42a37215bff00a5a417d12eafc54e4649e7feadc05f5c370b29b68f52a8573f",
+        "35ccf33d49f60a68ed15b88d3f0a3174216cfcc45058328330f90d06116ebe4f",
+        "9b2244792bcd8d3b4dd86d167eeddbc12700e4c0f37d058fe66fc62359e317fe",
+    ), id="tuned-faults"),
+    pytest.param(_parallel_cc_exports, (
+        "038e11da2ed104b793498532ff1a4043c15f8bf435f9d58b3d7b9e49cf2966df",
+        "4a15bf43ef36f28ee46052b853bb292c20e84a325f2fd9559baf6022df3a9614",
+        "1eebfb97d79ff0b5e796c4975645f1b3029c98f8f2fb6e906e856dc2eca542d7",
+    ), id="tp2-pp2"),
+])
+def test_tuned_and_parallel_export_digests_pinned(run, digests):
+    assert tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in run()
+    ) == digests
 
 
 def test_queue_attribution_never_admitted():
