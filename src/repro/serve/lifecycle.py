@@ -95,6 +95,23 @@ class DegradationPolicy:
             problems.append("max_queue_depth must be >= 0")
         if self.max_engine_restarts < 0:
             problems.append("max_engine_restarts must be >= 0")
+        # Knobs the chosen shed policy never reads would be silently
+        # ignored; reject them instead.
+        timed = self.deadline_ms or self.ttft_timeout_ms
+        if timed and self.shed_policy == "none":
+            problems.append(
+                "deadline/ttft timeout are never enforced under "
+                "shed_policy 'none'; use 'deadline' or 'pushback'"
+            )
+        if self.shed_policy == "deadline" and not timed:
+            problems.append(
+                "shed_policy 'deadline' needs a deadline and/or a ttft "
+                "timeout to enforce"
+            )
+        if self.max_queue_depth and self.shed_policy != "pushback":
+            problems.append(
+                "max_queue_depth is only read by shed_policy 'pushback'"
+            )
         if problems:
             raise ValueError(
                 "invalid DegradationPolicy: " + "; ".join(problems)
@@ -134,9 +151,6 @@ class LifecycleLedger:
                 f"{self._terminal[req_id][0]} then {state}"
             )
         self._terminal[req_id] = (state, cause)
-
-    def state_of(self, req_id: int) -> str:
-        return self._terminal.get(req_id, ("", ""))[0]
 
     def count(self, state: str) -> int:
         return sum(1 for s, _ in self._terminal.values() if s == state)

@@ -55,8 +55,9 @@ from dataclasses import dataclass, fields
 
 from ..llm.config import QUANTS
 
-#: Upper bound on batched token-download coalescing; 64 steps of a
-#: full batch still fits the 64 KiB token host buffer with margin.
+#: Upper bound on batched token-download coalescing.  The engine sizes
+#: its token host buffers to hold this many steps of a full batch
+#: (4 B per token), never below 64 KiB.
 MAX_FLUSH_EVERY = 64
 #: Upper bound on D2H flush buffers/streams (diminishing returns past
 #: double-buffering; the CPU crypto leg is serialized regardless).

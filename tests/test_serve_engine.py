@@ -6,11 +6,14 @@ import pytest
 from repro import units
 from repro.config import SystemConfig
 from repro.serve import (
+    ClusterSpec,
+    EngineTuning,
     ScenarioSpec,
     SLOTargets,
     build_report,
     parse_duration_ns,
     predicted_step_cc_overhead_ns,
+    run_cluster,
     run_scenario,
     scenario_verdict,
     verdict_json,
@@ -118,3 +121,36 @@ def test_parse_duration():
     assert parse_duration_ns("3") == 3 * units.NS_PER_SEC
     with pytest.raises(ValueError, match="duration"):
         parse_duration_ns("fast")
+
+
+@pytest.mark.parametrize("run", [
+    # Knobs the chosen policy or topology never reads.
+    lambda: run_scenario(ScenarioSpec(deadline_ms=100)),
+    lambda: run_scenario(ScenarioSpec(max_queue_depth=4)),
+    lambda: run_scenario(ScenarioSpec(shed_policy="deadline")),
+    lambda: run_scenario(ScenarioSpec(ttft_slo_ms=0)),
+    lambda: run_cluster(ClusterSpec(link_policy="batched")),
+    lambda: run_cluster(ClusterSpec(placement="kv-affinity")),
+], ids=["deadline-unshed", "depth-without-pushback", "deadline-no-timeout",
+        "zero-ttft-slo", "batched-link-tp1", "placement-one-replica"])
+def test_library_rejects_silently_ignored_knobs(run):
+    with pytest.raises(ValueError):
+        run()
+
+
+@pytest.mark.parametrize("cc", [False, True], ids=["base", "cc"])
+@pytest.mark.parametrize("streams", [1, 2], ids=["sync", "overlap"])
+def test_coalesced_flush_of_a_full_batch_fits_the_token_buffer(cc, streams):
+    # 1000 sequences x 64 coalesced steps x 4 B = 256,000 B per flush,
+    # past the 64 KiB default token buffer.
+    spec = ScenarioSpec(
+        rate_rps=2000.0,
+        duration_ns=units.NS_PER_SEC // 2,
+        max_num_seqs=1000,
+        max_batch_tokens=65536,
+        kv_budget_bytes=64 * 1024 * units.MiB,
+    )
+    config = SystemConfig.confidential() if cc else SystemConfig.base()
+    tuning = EngineTuning(token_flush_every=64, d2h_streams=streams)
+    _, result = run_scenario(spec, config, tuning=tuning)
+    assert result.report["completed"] == result.requests

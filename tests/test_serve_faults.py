@@ -453,6 +453,22 @@ def chaos_cases(draw):
             )
     if not sites:
         sites[GCM_TAG] = SiteFaults(rate=0.01, max_faults=5)
+    # The shed policy first, then only the knobs that policy reads:
+    # DegradationPolicy rejects the ones it would silently ignore.
+    shed_policy = draw(st.sampled_from(["none", "deadline", "pushback"]))
+    timeouts = [
+        (deadline, ttft)
+        for deadline in (0.0, 1500.0, 4000.0)
+        for ttft in (0.0, 120.0, 600.0)
+        if shed_policy == "pushback" or deadline or ttft
+    ]
+    deadline_ms, ttft_timeout_ms = (
+        draw(st.sampled_from(timeouts)) if shed_policy != "none"
+        else (0.0, 0.0)
+    )
+    max_queue_depth = (
+        draw(st.sampled_from([0, 4, 16])) if shed_policy == "pushback" else 0
+    )
     spec = ScenarioSpec(
         rate_rps=draw(st.sampled_from([8.0, 16.0, 24.0])),
         duration_ns=draw(st.sampled_from([NS_PER_SEC // 5, NS_PER_SEC // 4])),
@@ -461,11 +477,11 @@ def chaos_cases(draw):
         max_num_seqs=draw(st.sampled_from([4, 8])),
         preemption=draw(st.sampled_from(["swap", "recompute"])),
         kv_budget_bytes=draw(st.sampled_from([24, 48])) * units.MiB,
-        deadline_ms=draw(st.sampled_from([0.0, 1500.0, 4000.0])),
-        ttft_timeout_ms=draw(st.sampled_from([0.0, 120.0, 600.0])),
-        shed_policy=draw(st.sampled_from(["none", "deadline", "pushback"])),
+        deadline_ms=deadline_ms,
+        ttft_timeout_ms=ttft_timeout_ms,
+        shed_policy=shed_policy,
         circuit_breaker=draw(st.booleans()),
-        max_queue_depth=draw(st.sampled_from([0, 4, 16])),
+        max_queue_depth=max_queue_depth,
         max_engine_restarts=draw(st.integers(0, 3)),
     )
     return spec, FaultPlan.from_mapping(sites)
