@@ -594,6 +594,40 @@ def test_tuned_and_parallel_export_digests_pinned(run, digests):
     ) == digests
 
 
+#: SHA-256 of the cluster verdict of two routed CC runs: two fixed
+#: least-loaded replicas (the CI cluster smoke), and one replica that
+#: the autoscaler grows under overload.  These pin the router summary,
+#: the per-replica split and the merged report, which the
+#: ``ext_cluster_serving`` golden keeps only as rounded figures.  Do
+#: NOT update without a golden-gate review.
+@pytest.mark.parametrize("replicas, autoscale_max, rate_rps, seconds, digest", [
+    pytest.param(
+        2, 0, 24.0, 1,
+        "524e6620fc7a88e516d0595d648b4791807dbfd32cf19edfee4e27b970347b18",
+        id="two-least-loaded",
+    ),
+    pytest.param(
+        1, 3, 32.0, 2,
+        "a71e25998e9c1779ec08aa1bae35c47dd3ac923e8d78d9b0239f6a9f3706e574",
+        id="autoscale-up",
+    ),
+])
+def test_routed_cluster_verdict_digests_pinned(
+    replicas, autoscale_max, rate_rps, seconds, digest
+):
+    spec = ClusterSpec(
+        scenario=ScenarioSpec(
+            rate_rps=rate_rps, duration_ns=seconds * units.NS_PER_SEC
+        ),
+        replicas=replicas,
+        autoscale_max=autoscale_max,
+        placement="least-loaded",
+    )
+    _, result = run_cluster(spec, SystemConfig.confidential())
+    payload = cluster_verdict_json(result)
+    assert hashlib.sha256(payload.encode()).hexdigest() == digest
+
+
 def test_queue_attribution_never_admitted():
     # Aggressive pushback: some requests are shed before admission —
     # their whole lifetime must be queue time and nothing else.
