@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..figures.common import FigureResult, RunConfig
+from ..figures.extensions import EXPERIMENTS
 from ..obs import MetricsRegistry
 from ..sim import SimTimeCollector
 from . import fingerprint
@@ -67,11 +68,6 @@ def _cells(*specs: CellSpec) -> Dict[str, CellSpec]:
     return {spec.cell_id: spec for spec in specs}
 
 
-_EXTENSION_NAMES = ("teeio", "crypto_scaling", "graph_fusion_cc",
-                    "oversubscription", "attestation", "multigpu",
-                    "model_load", "sensitivity", "distributed_training",
-                    "fault_recovery")
-
 GRID: Dict[str, CellSpec] = _cells(
     CellSpec("table1", "table1_config"),
     CellSpec("fig01", "fig01_overview"),
@@ -92,7 +88,7 @@ GRID: Dict[str, CellSpec] = _cells(
     CellSpec("fig14", "fig14_llm", slow=True),
     *[
         CellSpec(f"ext_{name}", "extensions", variant=name, slow=True)
-        for name in _EXTENSION_NAMES
+        for name in EXPERIMENTS
     ],
     # The serving extension lives in its own figure module (it layers
     # on repro.serve rather than the single-app extension harness).
