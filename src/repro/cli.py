@@ -40,13 +40,14 @@ serve [--rate R] [--duration 2s] [--tenants N] [--policy fcfs|spf]
     enable request-scoped telemetry (per-request Perfetto tracks,
     per-request CC-tax attribution records) without perturbing the
     verdict.  Any non-trivial topology flag (--replicas/--tp/--pp/
-    --autoscale-max) routes the scenario through repro.serve.cluster:
-    replica engines whose TP all-reduces ride the secure peer links
-    and whose placement/attestation costs come from the same simulated
-    CC stack.  Contradictory flag combinations (a --deadline that no
-    shed policy enforces, a --circuit-breaker with no faults to trip
-    it, telemetry outputs on a multi-replica cluster) exit 2 at parse
-    time instead of being silently ignored.
+    --autoscale-max) reports the run as serve-cluster: replica engines
+    whose TP all-reduces ride the secure peer links and whose
+    placement/attestation costs come from the same simulated CC stack.
+    Contradictory flag combinations (a --deadline that no shed policy
+    enforces, a --circuit-breaker with no faults to trip it, an
+    --autoscale-max that cannot exceed --replicas, telemetry outputs
+    on a multi-replica cluster) exit 2 instead of being silently
+    ignored.
 serve report [scenario flags] [--top K] [--by-tenant] [--diff] [--json]
     Tail-latency forensics for one scenario: top-k slowest requests
     with per-request Sec.-V blame (T/E/L/Q/K/D/recovery + queueing),
@@ -93,13 +94,14 @@ from .sim import SimulationError
 from .workloads import CATALOG
 
 
-def _config(args) -> SystemConfig:
+def _config(args, cc: Optional[bool] = None) -> SystemConfig:
     """Resolve CLI mode flags through the one shared resolution path
     (:func:`repro.config.resolve_system_configs`) so ``repro run`` and
-    ``repro check`` can never disagree on what a flag means."""
+    ``repro check`` can never disagree on what a flag means.  ``cc``
+    overrides ``--cc`` for commands that run both modes."""
     try:
         return resolve_system_configs(
-            cc=args.cc,
+            cc=args.cc if cc is None else cc,
             teeio=getattr(args, "teeio", False),
             seed=getattr(args, "seed", None),
             fault_plan=getattr(args, "fault_plan", ""),
@@ -549,31 +551,9 @@ def cmd_faults(args) -> int:
 def _run_traced(args, cc: bool, label_suffix: str = ""):
     """Run one catalogue app with observability on; returns the trace."""
     info = CATALOG[args.app]
-    args_cc_saved = args.cc if hasattr(args, "cc") else False
-    args.cc = cc
-    config = _config(args)
-    args.cc = args_cc_saved
-    machine = Machine(config, label=f"{args.app}{label_suffix}")
+    machine = Machine(_config(args, cc), label=f"{args.app}{label_suffix}")
     machine.run(info.app(getattr(args, "uvm", False)))
     return machine.trace
-
-
-def _write_serve_outputs(args, payload: str, trace, attributions) -> int:
-    """The verdict, trace and per-request files ``repro serve`` asked
-    for, then the verdict on stdout with ``--json``."""
-    if args.verdict:
-        with open(args.verdict, "w") as handle:
-            handle.write(payload + "\n")
-        print(f"verdict -> {args.verdict}")
-    if args.trace:
-        with open(args.trace, "w") as handle:
-            handle.write(trace.to_chrome_trace())
-        print(f"chrome trace -> {args.trace}")
-    if args.requests_out:
-        _write_requests(attributions, args.requests_out)
-    if args.json:
-        print(payload)
-    return 0
 
 
 def _write_requests(attributions, path: str) -> None:
@@ -648,116 +628,66 @@ def _validate_serve_args(args):
         cluster.validate()
     except ValueError as exc:
         error(str(exc))
-    if cluster.cluster_capable and (
-            args.trace or args.requests_out
-            or getattr(args, "telemetry", False)):
-        error("--trace/--requests-out/--telemetry need a single-replica "
-              "cluster (per-request clocks are per-engine)")
     return cluster
 
 
-def _cmd_serve_cluster(args, spec) -> int:
-    """``repro serve`` with a non-trivial topology: the cluster path."""
-    from .serve import cluster_verdict_json, run_cluster
+def cmd_serve(args) -> int:
+    """``repro serve``: one serving run (one engine, or replicas behind
+    the router) + its verdict."""
+    from .serve import (
+        ClusterError,
+        cluster_verdict_json,
+        run_cluster,
+        verdict_json,
+    )
 
+    if getattr(args, "serve_command", None) == "report":
+        return cmd_serve_report(args)
+
+    spec = _validate_serve_args(args)
+    # Telemetry is pure bookkeeping (the verdict is byte-identical
+    # either way); enable it whenever an output wants the per-request
+    # records.
     telemetry = bool(args.trace or args.requests_out or args.telemetry)
     try:
         traces, result = run_cluster(
             spec, _config(args), telemetry=telemetry
         )
+    except ClusterError as exc:
+        args._serve_parser.error(str(exc))
     except ValueError as exc:
         raise SystemExit(str(exc))
-    report = result.report
-    router = result.router
+    scenario, report = spec.scenario, result.report
+    if spec.clustered:
+        command, payload = "serve-cluster", cluster_verdict_json(result)
+    else:
+        command, payload = "serve", verdict_json(result)
     mode = "cc" if result.cc else "base"
-    print(
-        f"serve-cluster[{mode}] tp={spec.tp} pp={spec.pp} "
-        f"replicas={router['replicas_started']}->"
-        f"{router['replicas_final']} placement={spec.placement} "
-        f"rate={spec.scenario.rate_rps:g} rps x "
-        f"{spec.scenario.tenants} tenants, seed {spec.scenario.seed}"
-    )
-    print(
-        f"  requests {result.requests}  completed {report['completed']}  "
-        f"rejected {report['rejected']}"
-    )
-    print(
-        f"  goodput {report['goodput_rps']:.2f} rps  "
-        f"ttft p50/p99 {report['ttft_ms']['p50']:.2f}/"
-        f"{report['ttft_ms']['p99']:.2f} ms  "
-        f"elapsed {units.to_ms(result.elapsed_ns):.1f} ms"
-    )
-    ups = [e for e in router["autoscale_events"]
-           if e["action"] == "scale-up"]
-    print(
-        f"  router   ingress {router['ingress_ns'] / 1e3:.1f} us  "
-        f"attest {router['attest_ms']:.2f} ms  "
-        f"spills {router['affinity_spills']}  scale-ups {len(ups)}"
-    )
-    for outcome in result.replicas:
-        stats = outcome.engine.stats
-        comm = ""
-        if "tp_comm_ns" in stats or "pp_comm_ns" in stats:
-            comm = (
-                f"  tp_comm {units.to_ms(stats.get('tp_comm_ns', 0)):.1f}"
-                f" ms  pp_comm "
-                f"{units.to_ms(stats.get('pp_comm_ns', 0)):.1f} ms"
-            )
-        print(
-            f"  replica {outcome.replica_id}: {outcome.requests} reqs  "
-            f"goodput {outcome.report['goodput_rps']:.2f} rps{comm}"
-        )
-    return _write_serve_outputs(
-        args, cluster_verdict_json(result), traces.get(0), result.attributions
-    )
 
+    def total(stat: str) -> int:
+        return sum(r.engine.stats[stat] for r in result.replicas)
 
-def cmd_serve(args) -> int:
-    """``repro serve``: one multi-tenant serving scenario + verdict."""
-    from .serve import run_scenario, verdict_json
-
-    if getattr(args, "serve_command", None) == "report":
-        return cmd_serve_report(args)
-
-    cluster = _validate_serve_args(args)
-    if (args.replicas > 1 or args.tp > 1 or args.pp > 1
-            or args.autoscale_max > 0):
-        return _cmd_serve_cluster(args, cluster)
-
-    # Telemetry is pure bookkeeping (the verdict is byte-identical
-    # either way); enable it whenever an output wants the per-request
-    # records.
-    telemetry = bool(args.trace or args.requests_out or args.telemetry)
-    spec = cluster.scenario
-    try:
-        trace, result = run_scenario(
-            spec, _config(args), telemetry=telemetry
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc))
-    report = result.report
-    mode = "cc" if result.cc else "base"
     print(
-        f"serve[{mode}] policy={spec.policy} rate={spec.rate_rps:g} rps "
-        f"x {spec.tenants} tenants ({spec.process}), seed {spec.seed}"
+        f"{command}[{mode}] policy={scenario.policy} "
+        f"rate={scenario.rate_rps:g} rps x {scenario.tenants} tenants "
+        f"({scenario.process}), seed {scenario.seed}"
     )
     print(
         f"  requests {result.requests}  completed {report['completed']}  "
         f"rejected {report['rejected']}  "
-        f"preemptions {result.engine.stats['preemptions']}"
+        f"preemptions {total('preemptions')}"
     )
-    if result.faults and result.faults["active"]:
-        stats = result.engine.stats
+    if result.faults["active"]:
         print(
-            f"  faults   injected {stats['faults_injected']}  "
-            f"shed {stats['shed']}  failed {stats['failed']}  "
-            f"restarts {stats['restarts']}  "
-            f"breaker trips {stats['breaker_trips']}"
+            f"  faults   injected {total('faults_injected')}  "
+            f"shed {total('shed')}  failed {total('failed')}  "
+            f"restarts {total('restarts')}  "
+            f"breaker trips {total('breaker_trips')}"
         )
     print(
         f"  goodput {report['goodput_rps']:.2f} rps  "
         f"throughput {report['throughput_tok_s']:.0f} tok/s  "
-        f"elapsed {units.to_ms(result.engine.elapsed_ns):.1f} ms"
+        f"elapsed {units.to_ms(result.elapsed_ns):.1f} ms"
     )
     print(
         f"  ttft p50/p99 {report['ttft_ms']['p50']:.2f}/"
@@ -765,9 +695,46 @@ def cmd_serve(args) -> int:
         f"tpot p50/p99 {report['tpot_ms']['p50']:.2f}/"
         f"{report['tpot_ms']['p99']:.2f} ms"
     )
-    return _write_serve_outputs(
-        args, verdict_json(result), trace, result.attributions
-    )
+    if spec.clustered:
+        router = result.router
+        ups = [e for e in router["autoscale_events"]
+               if e["action"] == "scale-up"]
+        print(
+            f"  cluster  tp={spec.tp} pp={spec.pp} "
+            f"replicas={router['replicas_started']}->"
+            f"{router['replicas_final']} placement={spec.placement}"
+        )
+        print(
+            f"  router   ingress {router['ingress_ns'] / 1e3:.1f} us  "
+            f"attest {router['attest_ms']:.2f} ms  "
+            f"spills {router['affinity_spills']}  scale-ups {len(ups)}"
+        )
+        for outcome in result.replicas:
+            stats = outcome.engine.stats
+            comm = ""
+            if "tp_comm_ns" in stats or "pp_comm_ns" in stats:
+                comm = (
+                    f"  tp_comm {units.to_ms(stats.get('tp_comm_ns', 0)):.1f}"
+                    f" ms  pp_comm "
+                    f"{units.to_ms(stats.get('pp_comm_ns', 0)):.1f} ms"
+                )
+            print(
+                f"  replica {outcome.replica_id}: {outcome.requests} reqs  "
+                f"goodput {outcome.report['goodput_rps']:.2f} rps{comm}"
+            )
+    if args.verdict:
+        with open(args.verdict, "w") as handle:
+            handle.write(payload + "\n")
+        print(f"verdict -> {args.verdict}")
+    if args.trace:
+        with open(args.trace, "w") as handle:
+            handle.write(traces[0].to_chrome_trace())
+        print(f"chrome trace -> {args.trace}")
+    if args.requests_out:
+        _write_requests(result.attributions, args.requests_out)
+    if args.json:
+        print(payload)
+    return 0
 
 
 def cmd_serve_report(args) -> int:
@@ -780,7 +747,6 @@ def cmd_serve_report(args) -> int:
     """
     import json as json_mod
 
-    from .config import SystemConfig
     from .serve import (
         forensics_diff,
         render_forensics_diff,
@@ -792,8 +758,7 @@ def cmd_serve_report(args) -> int:
 
     spec = _validate_serve_args(args).scenario
     try:
-        config = _config(args)
-        trace, result = run_scenario(spec, config, telemetry=True)
+        trace, result = run_scenario(spec, _config(args), telemetry=True)
     except ValueError as exc:
         raise SystemExit(str(exc))
     attributions = result.attributions
@@ -813,7 +778,7 @@ def cmd_serve_report(args) -> int:
             )
         try:
             _, base_result = run_scenario(
-                spec, SystemConfig.base(seed=config.seed), telemetry=True
+                spec, _config(args, cc=False), telemetry=True
             )
         except ValueError as exc:
             raise SystemExit(str(exc))
@@ -1115,8 +1080,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="router placement policy (default round-robin)")
     cluster_group.add_argument(
         "--autoscale-max", type=_nonneg_int, default=0, metavar="N",
-        help="autoscaler replica ceiling (0 = off); each scale-up "
-             "pays a full SPDM attestation before serving")
+        help="autoscaler replica ceiling, above --replicas (0 = off); "
+             "each scale-up pays a full SPDM attestation before serving")
     serve_p.set_defaults(_serve_parser=serve_p)
 
     sreport_p = serve_sub.add_parser(

@@ -24,9 +24,12 @@ CC cost.  Pipeline:
   :class:`DegradationPolicy` (deadlines, TTFT timeouts, load shedding,
   circuit breaker, restart budget) and the :class:`LifecycleLedger`
   behind the no-lost-request invariant.
-* :mod:`repro.serve.scenario` — one-call scenario runner shared by
-  ``repro serve``, the ``ext_serving``/``ext_fault_serving`` figures
-  and the tests.
+* :mod:`repro.serve.scenario` — :class:`ScenarioSpec`, the one
+  definition of a serving scenario.
+* :mod:`repro.serve.cluster` — the one serving run path shared by
+  ``repro serve``, the serving figures and the tests:
+  :func:`run_cluster` (replicas, TP/PP, router, autoscaler) and
+  :func:`run_scenario`, its one-replica tp=1/pp=1 case.
 * :mod:`repro.serve.telemetry` — request-scoped telemetry: per-request
   CC-tax attribution in the paper's Sec.-V vocabulary, tenant rollups,
   tail-latency forensics and byte-deterministic JSONL/CSV exports
@@ -55,6 +58,9 @@ from .cluster import (
     cluster_verdict_json,
     measure_attestation_ns,
     run_cluster,
+    run_scenario,
+    scenario_verdict,
+    verdict_json,
 )
 from .kvpager import KVPager, PagerStats, PreemptPlan, RestorePlan
 from .parallelism import LINK_POLICIES, TP_DEGREES, ParallelismSpec
@@ -70,14 +76,10 @@ from .lifecycle import (
     LifecycleLedger,
 )
 from .scenario import (
-    ScenarioResult,
     ScenarioSpec,
     fault_plan_summary,
     parse_duration_ns,
     predicted_step_cc_overhead_ns,
-    run_scenario,
-    scenario_verdict,
-    verdict_json,
 )
 from .scheduler import (
     POLICIES,
@@ -157,7 +159,6 @@ __all__ = [
     "SHED_POLICIES",
     "SLOTargets",
     "SLOTracker",
-    "ScenarioResult",
     "ScenarioSpec",
     "SchedulerConfig",
     "ServeRequest",

@@ -1,5 +1,6 @@
-"""Cluster-scale CC serving: replicated engines behind a tenant-aware
-router, with model parallelism inside each replica.
+"""Serving runs: one code path from arrivals to report, for a single
+engine or for replicated engines behind a tenant-aware router, with
+model parallelism inside each replica.
 
 The paper dissects one guest/GPU pair; "The Serialized Bridge" (Yin &
 Wang, 2026) shows the same CC taxes compounding at cluster scale —
@@ -7,13 +8,12 @@ every replica pays attestation before it serves, every TP shard syncs
 over encrypted peer links, every PP boundary crosses the serialized
 host bridge, and the router itself transitions through the TD on every
 placement.  :func:`run_cluster` composes those pieces from the existing
-layers:
+layers, and :func:`run_scenario` *is* its one-replica tp=1/pp=1 case:
+both call the same run, which skips routing when there is nothing to
+place.
 
 * **Replicas** are ordinary :class:`~repro.serve.ServingEngine` runs,
-  shaped by a :class:`~repro.serve.parallelism.ParallelismSpec` — so a
-  single-replica tp=1/pp=1 cluster reduces *exactly* to
-  :func:`~repro.serve.scenario.run_scenario` output (the invariant the
-  reduction test pins byte-for-byte).
+  shaped by a :class:`~repro.serve.parallelism.ParallelismSpec`.
 * **The router** is a deterministic admission pass over the global
   arrival stream: per-request ingress cost (base routing work plus a
   TD hypercall under CC), three placement policies (``round-robin``,
@@ -32,7 +32,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .. import units
 from ..config import SystemConfig
@@ -42,11 +42,18 @@ from ..obs.metrics import percentile
 from ..sim import Simulator
 from ..tdx import GuestContext
 from ..tdx.spdm import attest_gpu
-from .arrivals import ServeRequest, generate_arrivals, stream_digest
+from .arrivals import ServeRequest, stream_digest
 from .parallelism import ParallelismSpec
-from .scenario import ScenarioSpec, _run_replica, fault_plan_summary
-from .scheduler import SERVE_MODEL, EngineResult
+from .scenario import ScenarioSpec, fault_plan_summary
+from .scheduler import SERVE_MODEL, EngineResult, ServingEngine
 from .slo import RequestOutcome, build_report
+from .telemetry import (
+    RequestAttribution,
+    ServeTelemetry,
+    attribute_requests,
+    record_telemetry_spans,
+)
+from .tuning import EngineTuning
 
 PLACEMENTS = ("round-robin", "least-loaded", "kv-affinity")
 
@@ -68,7 +75,8 @@ class ClusterSpec:
     pp: int = 1
     link_policy: str = "naive"
     placement: str = "round-robin"
-    #: 0 disables the autoscaler; otherwise the ceiling it may reach.
+    #: 0 disables the autoscaler; otherwise the ceiling it may reach,
+    #: above ``replicas``.
     autoscale_max: int = 0
     autoscale_epoch_ms: float = 250.0
     scale_up_queue_ms: float = 200.0
@@ -83,10 +91,11 @@ class ClusterSpec:
                 f"placement must be one of {PLACEMENTS}, "
                 f"got {self.placement!r}"
             )
-        if self.autoscale_max and self.autoscale_max < self.replicas:
+        if self.autoscale_max and self.autoscale_max <= self.replicas:
             problems.append(
-                f"autoscale_max ({self.autoscale_max}) must be >= "
-                f"replicas ({self.replicas})"
+                f"autoscale_max ({self.autoscale_max}) must exceed "
+                f"replicas ({self.replicas}) or the autoscaler can "
+                f"never grow"
             )
         if self.autoscale_epoch_ms <= 0:
             problems.append("autoscale_epoch_ms must be > 0")
@@ -116,13 +125,20 @@ class ClusterSpec:
     @property
     def cluster_capable(self) -> bool:
         """True when the router/autoscaler actually have decisions to
-        make; False is the exact-reduction path to the single engine."""
-        return self.replicas > 1 or self.autoscale_max > self.replicas
+        make; False runs the one engine on the unrouted stream."""
+        return self.replicas > 1 or self.autoscale_max > 0
+
+    @property
+    def clustered(self) -> bool:
+        """True when a run reports as ``serve-cluster`` (verdict and CLI
+        header): a router with decisions to make, or model parallelism
+        inside the replica.  False is a plain ``serve`` run."""
+        return self.cluster_capable or not self.parallelism().trivial
 
 
 @dataclass
 class ReplicaOutcome:
-    """One replica engine's share of the cluster run."""
+    """One replica engine's share of a serving run."""
 
     replica_id: int
     requests: int
@@ -132,7 +148,7 @@ class ReplicaOutcome:
 
 @dataclass
 class ClusterResult:
-    """Everything one cluster run produced (traces kept separately)."""
+    """Everything one serving run produced (traces kept separately)."""
 
     spec: ClusterSpec
     cc: bool
@@ -141,16 +157,21 @@ class ClusterResult:
     replicas: List[ReplicaOutcome]
     report: Dict
     router: Dict
-    elapsed_ns: int
-    faults: Optional[Dict] = None
-    attributions: Optional[List] = None
+    faults: Dict
+    #: Per-request CC-tax attributions (telemetry runs only).  Kept
+    #: out of the verdicts on purpose: the verdict JSON is
+    #: byte-identical whether or not telemetry was enabled.
+    attributions: Optional[List[RequestAttribution]] = None
 
     @property
-    def goodput_rps(self) -> float:
-        return self.report["goodput_rps"]
+    def elapsed_ns(self) -> int:
+        return max(r.engine.elapsed_ns for r in self.replicas)
 
-    def ttft_p99_ms(self) -> float:
-        return self.report["ttft_ms"]["p99"]
+    @property
+    def engine(self) -> EngineResult:
+        """The engine result of a one-replica run."""
+        (replica,) = self.replicas
+        return replica.engine
 
 
 def measure_attestation_ns(config: SystemConfig) -> int:
@@ -175,13 +196,17 @@ class _Router:
     def __init__(self, spec: ClusterSpec, config: SystemConfig) -> None:
         self.spec = spec
         self.config = config
-        self.ingress_ns = int(ROUTER_BASE_NS)
-        if config.cc_on:
-            # Placement runs inside the trust boundary: admitting a
-            # request into a TD replica costs a guest transition.
-            self.ingress_ns += int(config.tdx.td_hypercall_ns)
+        # One fixed replica leaves nothing to place: its requests
+        # bypass the router and pay no ingress.
+        self.ingress_ns = 0
+        if spec.cluster_capable:
+            self.ingress_ns = int(ROUTER_BASE_NS)
+            if config.cc_on:
+                # Placement runs inside the trust boundary: admitting a
+                # request into a TD replica costs a guest transition.
+                self.ingress_ns += int(config.tdx.td_hypercall_ns)
         self.attest_ns = 0
-        if spec.autoscale_max > spec.replicas:
+        if spec.autoscale_max:
             self.attest_ns = measure_attestation_ns(config)
         # Roofline service estimate, from the same backend the engines
         # use: whole-prompt prefill + per-token decode cadence at a
@@ -205,6 +230,8 @@ class _Router:
         self.est_queue_ms: List[float] = []
         self.events: List[Dict] = []
         self.spills = 0
+        #: Original arrival of every placed request.
+        self._arrival: Dict[int, int] = {}
 
     def _service_ns(self, request: ServeRequest) -> int:
         prefill = self._backend.prefill_kernel(
@@ -223,7 +250,7 @@ class _Router:
     def _backlog_ms(self, rid: int, now: int) -> float:
         return units.to_ms(max(0, self.busy_until[rid] - now))
 
-    def _place(self, request: ServeRequest, now: int) -> int:
+    def _pick(self, request: ServeRequest, now: int) -> int:
         placement = self.spec.placement
         if placement == "least-loaded":
             return self._least_loaded(now)
@@ -295,21 +322,43 @@ class _Router:
                         })
                         break
 
-    def route(self, request: ServeRequest) -> Tuple[int, int]:
-        """Place one request; returns (replica_id, adjusted_arrival_ns)."""
-        self._autoscale_tick(request.arrival_ns)
-        now = request.arrival_ns + self.ingress_ns
-        rid = self._place(request, now)
-        start = max(now, self.ready_at[rid])
-        queue_ms = self._backlog_ms(rid, start)
-        self.est_queue_ms.append(queue_ms)
-        self._epoch_delays_ms.append(queue_ms)
-        self.busy_until[rid] = (
-            max(self.busy_until[rid], start) + self._service_ns(request)
-        )
-        return rid, start
+    def place(
+        self, requests: List[ServeRequest]
+    ) -> Dict[int, List[ServeRequest]]:
+        """Replica id -> the requests it serves.  A placed request
+        arrives at its replica after the ingress and readiness waits;
+        with nothing to place, replica 0 serves the stream as given."""
+        if not self.spec.cluster_capable:
+            return {0: requests}
+        placed: Dict[int, List[ServeRequest]] = {}
+        for request in requests:
+            self._arrival[request.req_id] = request.arrival_ns
+            self._autoscale_tick(request.arrival_ns)
+            now = request.arrival_ns + self.ingress_ns
+            rid = self._pick(request, now)
+            start = max(now, self.ready_at[rid])
+            queue_ms = self._backlog_ms(rid, start)
+            self.est_queue_ms.append(queue_ms)
+            self._epoch_delays_ms.append(queue_ms)
+            self.busy_until[rid] = (
+                max(self.busy_until[rid], start) + self._service_ns(request)
+            )
+            placed.setdefault(rid, []).append(
+                dataclasses.replace(request, arrival_ns=start)
+            )
+        return placed
 
-    def summary(self, assigned: Dict[int, int]) -> Dict:
+    def restore(self, records: List) -> List:
+        """``records`` charged from each request's original arrival, so
+        router ingress and replica-readiness waits land in TTFT/E2E."""
+        if not self._arrival:
+            return records
+        return [
+            dataclasses.replace(r, arrival_ns=self._arrival[r.req_id])
+            for r in records
+        ]
+
+    def summary(self, placed: Dict[int, List[ServeRequest]]) -> Dict:
         return {
             "placement": self.spec.placement,
             "ingress_ns": self.ingress_ns,
@@ -317,7 +366,8 @@ class _Router:
             "replicas_started": self.spec.replicas,
             "replicas_final": len(self.active),
             "replica_requests": {
-                str(rid): count for rid, count in sorted(assigned.items())
+                str(rid): len(placed.get(rid, ()))
+                for rid in sorted(self.busy_until)
             },
             "affinity_spills": self.spills,
             "est_queue_ms": {
@@ -331,6 +381,112 @@ class _Router:
         }
 
 
+def _run_replica(
+    spec: ScenarioSpec,
+    config: SystemConfig,
+    requests: List[ServeRequest],
+    label: str,
+    telemetry: bool,
+    tuning: Optional[EngineTuning],
+    parallelism: ParallelismSpec,
+):
+    """Serve ``requests`` on one engine built from ``spec``; returns
+    ``(trace, EngineResult, attributions)``.  The attributions are
+    ``None`` unless ``telemetry`` is on, in which case the per-request
+    spans are also appended to the trace."""
+    engine = ServingEngine(
+        scheduler_config=spec.scheduler_config(),
+        kv_budget_bytes=spec.kv_budget_bytes,
+        block_tokens=spec.block_tokens,
+        targets=spec.slo_targets(),
+        degrade=spec.degrade(),
+        parallelism=parallelism,
+        tuning=tuning,
+    )
+    tel = ServeTelemetry() if telemetry else None
+    trace, result = engine.run(config, requests, label=label, telemetry=tel)
+    attributions = None
+    if tel is not None:
+        attributions = attribute_requests(result.outcomes, tel, trace)
+        record_telemetry_spans(attributions, tel.ops, trace)
+    return trace, result, attributions
+
+
+def _serve(
+    spec: ClusterSpec,
+    config: Optional[SystemConfig],
+    telemetry: bool,
+    tuning: Optional[EngineTuning],
+):
+    """The one serving run behind :func:`run_cluster` and
+    :func:`run_scenario`; returns ``(traces, ClusterResult)``."""
+    spec.validate()
+    if telemetry and spec.cluster_capable:
+        raise ClusterError(
+            "telemetry capture needs a single-replica cluster "
+            "(per-request clocks are per-engine)"
+        )
+    config = config or SystemConfig.base()
+    scenario = spec.scenario
+    targets = scenario.slo_targets()
+    requests = scenario.arrivals()
+    router = _Router(spec, config)
+    placed = router.place(requests)
+
+    traces: Dict[int, object] = {}
+    served = []
+    outcomes: List[RequestOutcome] = []
+    rejected: List[ServeRequest] = []
+    attributions = None
+    for rid, replica_requests in sorted(placed.items()):
+        label = scenario.label(config)
+        if spec.cluster_capable:
+            label = f"{label}-rep{rid}"
+        # Telemetry runs have one replica, so its attributions are kept.
+        trace, engine, attributions = _run_replica(
+            scenario, config, replica_requests, label, telemetry, tuning,
+            spec.parallelism(),
+        )
+        traces[rid] = trace
+        done = router.restore(engine.outcomes)
+        dropped = router.restore(engine.rejected)
+        served.append((rid, len(replica_requests), engine, done, dropped))
+        outcomes += done
+        rejected += dropped
+
+    def report(done, dropped, elapsed_ns: int) -> Dict:
+        # Rates are computed over the full busy window (arrival window
+        # + drain), so an overloaded run reports its saturation
+        # throughput rather than dividing by the nominal duration.
+        window_ns = max(scenario.duration_ns, elapsed_ns)
+        return build_report(done, dropped, window_ns, targets)
+
+    if len(served) > 1:
+        # Deterministic merge order; one engine keeps its own order
+        # (sums over floats are order-sensitive).
+        outcomes.sort(key=lambda o: o.req_id)
+        rejected.sort(key=lambda r: r.req_id)
+    elapsed_ns = max(engine.elapsed_ns for _, _, engine, _, _ in served)
+    merged = report(outcomes, rejected, elapsed_ns)
+    # One engine's report is the run's report.
+    replicas = [
+        ReplicaOutcome(rid, count, engine, merged if len(served) == 1
+                       else report(done, dropped, engine.elapsed_ns))
+        for rid, count, engine, done, dropped in served
+    ]
+    return traces, ClusterResult(
+        spec=spec,
+        cc=config.cc_on,
+        requests=len(requests),
+        arrival_digest=stream_digest(requests),
+        replicas=replicas,
+        report=merged,
+        router=router.summary(placed),
+        faults=fault_plan_summary(config),
+        attributions=attributions,
+    )
+
+
 def run_cluster(
     spec: ClusterSpec,
     config: Optional[SystemConfig] = None,
@@ -340,142 +496,72 @@ def run_cluster(
 
     ``traces`` maps replica id -> Chrome trace.  ``telemetry=True`` is
     only supported on single-replica clusters (per-request attribution
-    across replicas would need merged clocks); the CLI enforces this.
+    across replicas would need merged clocks): anything else raises
+    :class:`ClusterError`.
     """
-    spec.validate()
-    config = config or SystemConfig.base()
-    scenario = spec.scenario
-    if telemetry and spec.cluster_capable:
-        raise ClusterError(
-            "telemetry capture requires a single-replica cluster"
-        )
-    requests = generate_arrivals(
-        scenario.tenant_specs(), scenario.duration_ns, scenario.seed
-    )
-    par = spec.parallelism()
-
-    # -- routing ---------------------------------------------------------
-    router_summary: Dict
-    per_replica: Dict[int, List[ServeRequest]] = {}
-    original_arrival: Dict[int, int] = {
-        r.req_id: r.arrival_ns for r in requests
-    }
-    if spec.cluster_capable:
-        router = _Router(spec, config)
-        for request in requests:
-            rid, start = router.route(request)
-            per_replica.setdefault(rid, []).append(
-                dataclasses.replace(request, arrival_ns=start)
-            )
-        assigned = {rid: len(reqs) for rid, reqs in per_replica.items()}
-        for rid in router.busy_until:
-            assigned.setdefault(rid, 0)
-        router_summary = router.summary(assigned)
-    else:
-        per_replica[0] = list(requests)
-        router_summary = {
-            "placement": spec.placement,
-            "ingress_ns": 0,
-            "attest_ms": 0.0,
-            "replicas_started": 1,
-            "replicas_final": 1,
-            "replica_requests": {"0": len(requests)},
-            "affinity_spills": 0,
-            "est_queue_ms": {"mean": 0.0, "p95": 0.0},
-            "autoscale_events": [],
-        }
-
-    # -- replica engines -------------------------------------------------
-    traces: Dict[int, object] = {}
-    replicas: List[ReplicaOutcome] = []
-    all_outcomes: List[RequestOutcome] = []
-    all_rejected: List[ServeRequest] = []
-    attributions = None
-    elapsed_ns = 0
-    for rid in sorted(per_replica):
-        replica_requests = per_replica[rid]
-        label = scenario.label(config)
-        if spec.cluster_capable:
-            label = f"{label}-rep{rid}"
-        # Telemetry runs have one replica, so its attributions are kept.
-        trace, result, attributions = _run_replica(
-            scenario, config, replica_requests, label, telemetry,
-            parallelism=par,
-        )
-        traces[rid] = trace
-        # Latencies are charged from the *original* arrival, so router
-        # ingress and replica-readiness waits land in TTFT/E2E.
-        outcomes = [
-            dataclasses.replace(
-                o, arrival_ns=original_arrival[o.req_id]
-            )
-            for o in result.outcomes
-        ]
-        rejected = [
-            dataclasses.replace(
-                r, arrival_ns=original_arrival[r.req_id]
-            )
-            for r in result.rejected
-        ]
-        window_ns = max(scenario.duration_ns, result.elapsed_ns)
-        replica_report = build_report(
-            outcomes, rejected, window_ns, scenario.slo_targets()
-        )
-        replicas.append(ReplicaOutcome(
-            replica_id=rid,
-            requests=len(replica_requests),
-            engine=result,
-            report=replica_report,
-        ))
-        all_outcomes.extend(outcomes)
-        all_rejected.extend(rejected)
-        elapsed_ns = max(elapsed_ns, result.elapsed_ns)
-
-    if len(replicas) > 1:
-        # Deterministic merge order; with one replica the engine order
-        # is kept so the report is float-identical to run_scenario
-        # (sums over floats are order-sensitive).
-        all_outcomes.sort(key=lambda o: o.req_id)
-        all_rejected.sort(key=lambda r: r.req_id)
-    window_ns = max(scenario.duration_ns, elapsed_ns)
-    report = build_report(
-        all_outcomes, all_rejected, window_ns, scenario.slo_targets()
-    )
-    return traces, ClusterResult(
-        spec=spec,
-        cc=config.cc_on,
-        requests=len(requests),
-        arrival_digest=stream_digest(requests),
-        replicas=replicas,
-        report=report,
-        router=router_summary,
-        elapsed_ns=elapsed_ns,
-        faults=fault_plan_summary(config),
-        attributions=attributions,
-    )
+    return _serve(spec, config, telemetry, None)
 
 
-def cluster_verdict(result: ClusterResult) -> Dict:
-    """Deterministic, JSON-ready verdict for one cluster run."""
-    spec = result.spec
+def run_scenario(
+    spec: ScenarioSpec,
+    config: Optional[SystemConfig] = None,
+    telemetry: bool = False,
+    tuning: Optional[EngineTuning] = None,
+):
+    """Run one scenario on one engine; returns ``(trace, ClusterResult)``.
+
+    This is the one-replica tp=1/pp=1 :func:`run_cluster`, plus the
+    engine ``tuning``; ``result.engine`` is its engine's result.
+
+    With ``telemetry=True`` the run also produces per-request CC-tax
+    attributions (``result.attributions``) and appends the per-request
+    tracks + tagged engine ops to the returned trace.  Telemetry is a
+    run *parameter*, not part of :class:`ScenarioSpec`: the spec (and
+    therefore the verdict JSON, which embeds it) is identical either
+    way — the zero-perturbation invariant.
+
+    ``tuning`` follows the same pattern for the CC-mitigation layer:
+    it is a run parameter and the spec stays untouched.  Every tuning
+    runs the engine's one token-flush path; the default (``None`` —
+    flush after every decode step, no fusion) reproduces the committed
+    verdict bytes.  Non-default tunings change engine costs (that is
+    their point) and surface themselves under the verdict's ``engine``
+    stats.
+    """
+    traces, result = _serve(ClusterSpec(scenario=spec), config, telemetry, tuning)
+    return traces[0], result
+
+
+def _verdict(result: ClusterResult, command: str, spec: Dict) -> Dict:
     return {
-        "command": "serve-cluster",
-        "spec": {
-            "scenario": asdict(spec.scenario),
-            "replicas": spec.replicas,
-            "tp": spec.tp,
-            "pp": spec.pp,
-            "link_policy": spec.link_policy,
-            "placement": spec.placement,
-            "autoscale_max": spec.autoscale_max,
-            "autoscale_epoch_ms": spec.autoscale_epoch_ms,
-            "scale_up_queue_ms": spec.scale_up_queue_ms,
-            "scale_down_queue_ms": spec.scale_down_queue_ms,
-        },
+        "command": command,
+        "spec": spec,
         "cc": result.cc,
         "requests": result.requests,
         "arrival_digest": result.arrival_digest,
         "elapsed_ms": units.to_ms(result.elapsed_ns),
+        "faults": result.faults,
+        "slo": result.report,
+    }
+
+
+def scenario_verdict(result: ClusterResult) -> Dict:
+    """Deterministic, JSON-ready verdict of a one-engine run."""
+    return {
+        **_verdict(result, "serve", asdict(result.spec.scenario)),
+        "engine": dict(sorted(result.engine.stats.items())),
+    }
+
+
+def verdict_json(result: ClusterResult) -> str:
+    """Byte-stable JSON encoding of the verdict (determinism gate)."""
+    return json.dumps(scenario_verdict(result), indent=1, sort_keys=True)
+
+
+def cluster_verdict(result: ClusterResult) -> Dict:
+    """Deterministic, JSON-ready verdict for one cluster run."""
+    return {
+        **_verdict(result, "serve-cluster", asdict(result.spec)),
         "router": result.router,
         "replicas": {
             str(r.replica_id): {
@@ -486,8 +572,6 @@ def cluster_verdict(result: ClusterResult) -> Dict:
             }
             for r in result.replicas
         },
-        "faults": result.faults or {"active": False, "sites": {}},
-        "slo": result.report,
     }
 
 

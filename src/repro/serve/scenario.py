@@ -1,9 +1,13 @@
-"""One-call serving scenarios: spec -> arrivals -> engine -> report.
+"""What a serving scenario is: :class:`ScenarioSpec`.
 
-The CLI (``repro serve``), the ``ext_serving`` grid figure and the
-determinism tests all run through :func:`run_scenario`, so a scenario
-is defined exactly once and every consumer sees byte-identical
-results for the same (spec, config) pair.
+A scenario fixes the tenants, their seeded arrival stream, the
+scheduler, the KV budget, the SLO targets and the degradation policy
+of one serving engine.  It is run by
+:func:`~repro.serve.cluster.run_scenario`, which *is* the one-replica,
+tp=1/pp=1 :func:`~repro.serve.cluster.run_cluster`: one serving run
+path behind the CLI (``repro serve``), the serving figures and the
+tests, so every consumer sees byte-identical results for the same
+(spec, config) pair.
 
 Also home to :func:`predicted_step_cc_overhead_ns`, the Sec.-V model's
 prediction for the *fixed* CC tax one decode iteration pays (token
@@ -13,38 +17,18 @@ TTFT p99 inflation is gated against in ``paper_targets.py``.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List
 
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
 from ..cuda.transfers import plan_copy
 from ..sim import Simulator
 from ..tdx import GuestContext
-from .arrivals import (
-    ServeRequest,
-    TenantSpec,
-    default_tenants,
-    generate_arrivals,
-    stream_digest,
-)
+from .arrivals import ServeRequest, default_tenants, generate_arrivals
 from .lifecycle import DegradationPolicy
-from .parallelism import ParallelismSpec
-from .scheduler import (
-    DEFAULT_KV_BUDGET_BYTES,
-    EngineResult,
-    SchedulerConfig,
-    ServingEngine,
-)
-from .slo import SLOTargets, build_report
-from .tuning import EngineTuning
-from .telemetry import (
-    RequestAttribution,
-    ServeTelemetry,
-    attribute_requests,
-    record_telemetry_spans,
-)
+from .scheduler import DEFAULT_KV_BUDGET_BYTES, SchedulerConfig
+from .slo import SLOTargets
 
 
 @dataclass(frozen=True)
@@ -73,8 +57,13 @@ class ScenarioSpec:
     max_queue_depth: int = 0
     max_engine_restarts: int = 2
 
-    def tenant_specs(self) -> List[TenantSpec]:
-        return default_tenants(self.rate_rps, self.tenants, self.process)
+    def arrivals(self) -> List[ServeRequest]:
+        """The seeded global arrival stream of every tenant."""
+        return generate_arrivals(
+            default_tenants(self.rate_rps, self.tenants, self.process),
+            self.duration_ns,
+            self.seed,
+        )
 
     def scheduler_config(self) -> SchedulerConfig:
         return SchedulerConfig(
@@ -120,130 +109,6 @@ def fault_plan_summary(config: SystemConfig) -> Dict:
             entry["max_faults"] = site.max_faults
         sites[name] = entry
     return {"active": config.faults.active, "sites": sites}
-
-
-@dataclass
-class ScenarioResult:
-    """Everything a scenario run produced (trace kept separately)."""
-
-    spec: ScenarioSpec
-    cc: bool
-    requests: int
-    arrival_digest: str
-    engine: EngineResult
-    report: Dict
-    faults: Optional[Dict] = None
-    #: Per-request CC-tax attributions (telemetry runs only).  Kept
-    #: out of :func:`scenario_verdict` on purpose: the verdict JSON is
-    #: byte-identical whether or not telemetry was enabled.
-    attributions: Optional[List[RequestAttribution]] = None
-
-    @property
-    def goodput_rps(self) -> float:
-        return self.report["goodput_rps"]
-
-    def ttft_p99_ms(self) -> float:
-        return self.report["ttft_ms"]["p99"]
-
-
-def _run_replica(
-    spec: ScenarioSpec,
-    config: SystemConfig,
-    requests: List[ServeRequest],
-    label: str,
-    telemetry: bool,
-    tuning: Optional[EngineTuning] = None,
-    parallelism: Optional[ParallelismSpec] = None,
-):
-    """Serve ``requests`` on one engine built from ``spec``; returns
-    ``(trace, EngineResult, attributions)``.  The attributions are
-    ``None`` unless ``telemetry`` is on, in which case the per-request
-    spans are also appended to the trace."""
-    engine = ServingEngine(
-        scheduler_config=spec.scheduler_config(),
-        kv_budget_bytes=spec.kv_budget_bytes,
-        block_tokens=spec.block_tokens,
-        targets=spec.slo_targets(),
-        degrade=spec.degrade(),
-        parallelism=parallelism,
-        tuning=tuning,
-    )
-    tel = ServeTelemetry() if telemetry else None
-    trace, result = engine.run(config, requests, label=label, telemetry=tel)
-    attributions = None
-    if tel is not None:
-        attributions = attribute_requests(result.outcomes, tel, trace)
-        record_telemetry_spans(attributions, tel.ops, trace)
-    return trace, result, attributions
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    config: Optional[SystemConfig] = None,
-    telemetry: bool = False,
-    tuning: Optional[EngineTuning] = None,
-):
-    """Run one scenario; returns ``(trace, ScenarioResult)``.
-
-    With ``telemetry=True`` the run also produces per-request CC-tax
-    attributions (``result.attributions``) and appends the per-request
-    tracks + tagged engine ops to the returned trace.  Telemetry is a
-    run *parameter*, not part of :class:`ScenarioSpec`: the spec (and
-    therefore the verdict JSON, which embeds it) is identical either
-    way — the zero-perturbation invariant.
-
-    ``tuning`` follows the same pattern for the CC-mitigation layer:
-    it is a run parameter and the spec stays untouched.  Every tuning
-    runs the engine's one token-flush path; the default (``None`` —
-    flush after every decode step, no fusion) reproduces the committed
-    verdict bytes.  Non-default tunings change engine costs (that is
-    their point) and surface themselves under the verdict's ``engine``
-    stats.
-    """
-    config = config or SystemConfig.base()
-    requests = generate_arrivals(
-        spec.tenant_specs(), spec.duration_ns, spec.seed
-    )
-    trace, result, attributions = _run_replica(
-        spec, config, requests, spec.label(config), telemetry, tuning=tuning
-    )
-    # Rates are computed over the full busy window (arrival window +
-    # drain), so an overloaded run reports its saturation throughput
-    # rather than dividing by the nominal duration.
-    window_ns = max(spec.duration_ns, result.elapsed_ns)
-    report = build_report(
-        result.outcomes, result.rejected, window_ns, spec.slo_targets()
-    )
-    return trace, ScenarioResult(
-        spec=spec,
-        cc=config.cc_on,
-        requests=len(requests),
-        arrival_digest=stream_digest(requests),
-        engine=result,
-        report=report,
-        faults=fault_plan_summary(config),
-        attributions=attributions,
-    )
-
-
-def scenario_verdict(result: ScenarioResult) -> Dict:
-    """Deterministic, JSON-ready verdict for one scenario run."""
-    return {
-        "command": "serve",
-        "spec": asdict(result.spec),
-        "cc": result.cc,
-        "requests": result.requests,
-        "arrival_digest": result.arrival_digest,
-        "elapsed_ms": units.to_ms(result.engine.elapsed_ns),
-        "engine": dict(sorted(result.engine.stats.items())),
-        "faults": result.faults or {"active": False, "sites": {}},
-        "slo": result.report,
-    }
-
-
-def verdict_json(result: ScenarioResult) -> str:
-    """Byte-stable JSON encoding of the verdict (determinism gate)."""
-    return json.dumps(scenario_verdict(result), indent=1, sort_keys=True)
 
 
 def predicted_step_cc_overhead_ns(

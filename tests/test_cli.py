@@ -295,6 +295,7 @@ def test_serve_rejects_conflicting_fault_flags():
         ["--link-policy", "batched"],
         ["--placement", "kv-affinity"],
         ["--replicas", "2", "--telemetry"],
+        ["--autoscale-max", "1"],
     ],
 )
 def test_serve_rejects_contradictory_flags(flags, capsys):
@@ -402,3 +403,20 @@ def test_serve_report_diff_requires_cc():
     with pytest.raises(SystemExit, match="--diff"):
         main(["serve", "report", "--rate", "8", "--duration",
               "250ms", "--diff"])
+
+
+def test_serve_report_diff_base_run_keeps_fault_flags(monkeypatch, capsys):
+    import repro.serve
+
+    configs = []
+    real = repro.serve.run_scenario
+
+    def recording(spec, config, **kwargs):
+        configs.append(config)
+        return real(spec, config, **kwargs)
+
+    monkeypatch.setattr(repro.serve, "run_scenario", recording)
+    assert main(["serve", "report", "--rate", "8", "--duration", "250ms",
+                 "--cc", "--fault-rate", "0.01", "--diff"]) == 0
+    assert [config.cc_on for config in configs] == [True, False]
+    assert all(config.faults.active for config in configs)

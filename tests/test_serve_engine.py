@@ -131,8 +131,10 @@ def test_parse_duration():
     lambda: run_scenario(ScenarioSpec(ttft_slo_ms=0)),
     lambda: run_cluster(ClusterSpec(link_policy="batched")),
     lambda: run_cluster(ClusterSpec(placement="kv-affinity")),
+    lambda: run_cluster(ClusterSpec(autoscale_max=1)),
 ], ids=["deadline-unshed", "depth-without-pushback", "deadline-no-timeout",
-        "zero-ttft-slo", "batched-link-tp1", "placement-one-replica"])
+        "zero-ttft-slo", "batched-link-tp1", "placement-one-replica",
+        "autoscaler-cannot-grow"])
 def test_library_rejects_silently_ignored_knobs(run):
     with pytest.raises(ValueError):
         run()

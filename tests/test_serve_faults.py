@@ -49,7 +49,6 @@ from repro.serve import (
     ScenarioSpec,
     ServeTelemetry,
     ServingEngine,
-    generate_arrivals,
     run_scenario,
     verdict_json,
 )
@@ -290,9 +289,7 @@ def test_untuned_crash_inside_token_d2h_delivers_at_crash_time(monkeypatch):
     # finished complete at the crash instant instead of being requeued.
     spec = ScenarioSpec(**SHORT)
     config = SystemConfig.confidential()
-    requests = generate_arrivals(
-        spec.tenant_specs(), spec.duration_ns, spec.seed
-    )
+    requests = spec.arrivals()
 
     def serve():
         tel = ServeTelemetry()
