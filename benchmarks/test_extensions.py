@@ -1,11 +1,14 @@
 """Extension experiments: the paper's flagged future-work directions,
 answered on the simulator (see repro.figures.extensions)."""
 
+import contextlib
+
 from repro import units
 from repro.config import SystemConfig
-from repro.cuda import run_app
+from repro.cuda import Machine
 from repro.figures import extensions
 from repro.gpu import nanosleep_kernel
+from repro.obs import Counter, Gauge, Histogram, SpanRecorder
 
 
 def _obs_probe_app(rt):
@@ -26,23 +29,42 @@ def _obs_probe_app(rt):
     yield from rt.free(host)
 
 
-def test_observability_is_zero_overhead():
-    """Tracing on vs off: identical simulated timings, event for event.
+def _probe(config):
+    machine = Machine(config)
+    machine.run(_obs_probe_app)
+    return machine
+
+
+def _timeline(trace):
+    return [(e.kind, e.name, e.start_ns, e.duration_ns) for e in trace.events]
+
+
+def test_observability_is_zero_overhead(monkeypatch):
+    """Recording vs recorders stubbed out: identical simulated timings,
+    event for event.
 
     Spans and metrics are pure bookkeeping — they must never touch the
-    simulation clock, in either security mode.
+    simulation clock, in either security mode.  The stubs are a
+    test-only fake: the simulator itself has one, always-recording mode.
     """
-    for config_factory in (SystemConfig.base, SystemConfig.confidential):
-        on, _ = run_app(_obs_probe_app, config_factory(), observe=True)
-        off, _ = run_app(_obs_probe_app, config_factory(), observe=False)
-        assert len(on.spans) > 0 and len(on.metrics) > 0
-        assert len(off.spans) == 0 and len(off.metrics) == 0
-        assert off.span_ns() == on.span_ns()
-        assert [
-            (e.kind, e.name, e.start_ns, e.duration_ns) for e in off.events
-        ] == [
-            (e.kind, e.name, e.start_ns, e.duration_ns) for e in on.events
-        ]
+    factories = (SystemConfig.base, SystemConfig.confidential)
+    recorded = [_probe(factory()) for factory in factories]
+    monkeypatch.setattr(
+        SpanRecorder, "span", lambda self, *a, **kw: contextlib.nullcontext()
+    )
+    monkeypatch.setattr(SpanRecorder, "record", lambda self, *a, **kw: None)
+    monkeypatch.setattr(Counter, "inc", lambda self, delta=1: None)
+    monkeypatch.setattr(Gauge, "set", lambda self, value: None)
+    monkeypatch.setattr(Histogram, "observe", lambda self, value: None)
+    for factory, on in zip(factories, recorded):
+        off = _probe(factory())
+        assert len(on.trace.spans) > 0
+        assert any(m.series for m in on.trace.metrics.sampled())
+        assert len(off.trace.spans) == 0
+        assert not any(m.series for m in off.trace.metrics.sampled())
+        assert off.trace.span_ns() == on.trace.span_ns()
+        assert _timeline(off.trace) == _timeline(on.trace)
+        assert off.sim.scheduled == on.sim.scheduled
 
 
 def test_ext_teeio(figure_runner):

@@ -35,7 +35,8 @@ def main() -> None:
     assert result[: len(PAYLOAD)] == PAYLOAD
     print(f"plaintext round-tripped intact through the CC data path "
           f"({len(PAYLOAD)} bytes)")
-    print(f"  hypercalls taken: {machine.guest.hypercall_count}")
+    hypercalls = machine.trace.metrics.counter("tdx.hypercalls").value
+    print(f"  hypercalls taken: {hypercalls}")
     print(f"  bounce pool peak usage: {machine.guest.bounce.peak_usage} bytes")
 
     # What the untrusted side would see: encrypt the same payload the

@@ -26,20 +26,14 @@ class Machine:
         self,
         config: Optional[SystemConfig] = None,
         label: str = "",
-        observe: bool = True,
     ) -> None:
         self.config = config or SystemConfig.base()
         self.config.validate()
         self.sim = Simulator()
-        self.trace = Trace(label=label, observability=observe)
-        # Bind the raw clock slot, skipping the `now` property dispatch
-        # — this closure runs for every span/metric sample.
-        self.trace.bind_clock(lambda sim=self.sim: sim._now)
+        self.trace = Trace(label=label)
         self.guest = GuestContext(self.sim, self.config, trace=self.trace)
-        self.gpu = GPU(self.sim, self.config, self.guest, self.trace)
-        self.runtime = CudaRuntime(
-            self.sim, self.config, self.guest, self.gpu, self.trace
-        )
+        self.gpu = GPU(self.sim, self.config, self.guest)
+        self.runtime = CudaRuntime(self.sim, self.config, self.guest, self.gpu)
 
     def run(self, app: AppFunction, *args: Any, **kwargs: Any) -> Any:
         """Run an application coroutine to completion; returns its value."""
@@ -55,12 +49,11 @@ def run_app(
     app: AppFunction,
     config: Optional[SystemConfig] = None,
     label: str = "",
-    observe: bool = True,
     *args: Any,
     **kwargs: Any,
 ) -> Tuple[Trace, Any]:
     """Convenience: boot a machine, run one app, return (trace, result)."""
-    machine = Machine(config, label=label, observe=observe)
+    machine = Machine(config, label=label)
     result = machine.run(app, *args, **kwargs)
     return machine.trace, result
 

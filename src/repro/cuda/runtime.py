@@ -35,7 +35,6 @@ from ..gpu import GPU, KernelCommand, KernelSpec
 from ..gpu.device import CopyCommand
 from ..mem.allocator import OutOfMemoryError
 from ..profiler import (
-    Trace,
     alloc_event,
     free_event,
     launch_event,
@@ -72,10 +71,8 @@ class Stream:
     produce byte-identical traces.
     """
 
-    _ids = itertools.count(0)  # fallback for streams built standalone
-
-    def __init__(self, stream_id: Optional[int] = None) -> None:
-        self.id = next(Stream._ids) if stream_id is None else stream_id
+    def __init__(self, stream_id: int) -> None:
+        self.id = stream_id
         self.tail: Optional[Event] = None
 
 
@@ -101,13 +98,12 @@ class CudaRuntime:
         config: SystemConfig,
         guest: GuestContext,
         gpu: GPU,
-        trace: Trace,
     ) -> None:
         self.sim = sim
         self.config = config
         self.guest = guest
         self.gpu = gpu
-        self.trace = trace
+        self.trace = guest.trace
         # Immutable-config fast paths for the per-launch hot loop.
         self._cc = config.cc_on
         self._gpu_spec = config.gpu
@@ -334,7 +330,6 @@ class CudaRuntime:
                 yield from self._copy_with_recovery(
                     copy_kind, plan, size, memory, self.default_stream.id
                 )
-                self.guest.hypercall_count += plan.hypercalls
                 self._functional_transfer(dst, src, size)
             finally:
                 self.gpu.copy_engine(copy_kind).release(engine)
@@ -473,7 +468,6 @@ class CudaRuntime:
                     self.guest.metrics.counter("crypto.encrypted_bytes").inc(
                         size
                     )
-            self.guest.hypercall_count += plan.hypercalls
             if plan.hypercalls:
                 self.guest.metrics.counter("tdx.hypercalls").inc(
                     plan.hypercalls

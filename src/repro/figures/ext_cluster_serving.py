@@ -20,20 +20,12 @@ from .. import units
 from ..config import SystemConfig
 from ..serve import ClusterSpec, ScenarioSpec, run_cluster
 from .common import FigureResult, dispatch
+from .ext_serving import KNEE_ATTAINMENT, _knee
 
 RATES = (8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0, 44.0)
 TP_SWEEP = (1, 2, 4)
 PLACEMENT_RATE = 32.0
 PLACEMENT_REPLICAS = 3
-# A rate sustains its offered load while goodput >= 90 % of it; the
-# knee is the last sustained rate in the sweep (same convention as
-# ext_serving).
-KNEE_ATTAINMENT = 0.9
-
-
-def _knee(rates: Sequence[float], goodput: Dict[float, float]) -> float:
-    sustained = [r for r in rates if goodput[r] >= KNEE_ATTAINMENT * r]
-    return max(sustained) if sustained else 0.0
 
 
 def generate_cluster_serving(

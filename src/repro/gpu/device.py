@@ -21,7 +21,7 @@ from typing import Generator, List, Optional, Tuple
 from ..config import CopyKind, MemoryKind, SystemConfig
 from ..faults import DMA, FatalFault, FaultError
 from ..mem import ExtentAllocator
-from ..profiler import Trace, kernel_event, memcpy_event
+from ..profiler import kernel_event, memcpy_event
 from ..sim import Event, Resource, Simulator, Store
 from ..tdx import GuestContext
 from .kernels import KernelSpec
@@ -69,12 +69,11 @@ class GPU:
         sim: Simulator,
         config: SystemConfig,
         guest: GuestContext,
-        trace: Trace,
     ) -> None:
         self.sim = sim
         self.config = config
         self.guest = guest
-        self.trace = trace
+        self.trace = guest.trace
         self.hbm = ExtentAllocator(
             config.gpu.hbm_bytes, base=0x7_0000_0000, alignment=512
         )
@@ -89,7 +88,6 @@ class GPU:
             sim, capacity=config.launch.launch_queue_depth
         )
         self.uvm = UVMManager(sim, config, guest)
-        self.commands_processed = 0
         # Config is immutable for the GPU's lifetime: precompute the
         # per-command fetch latency.  Hot instruments are cached lazily
         # on first use so the registry's register-on-lookup semantics
@@ -126,7 +124,6 @@ class GPU:
             command = yield self.channel.get()
             if not command.fetch_free:
                 yield self.sim.timeout(self._fetch_ns)
-            self.commands_processed += 1
             if isinstance(command, KernelCommand):
                 self.sim.process(self._run_kernel(command))
             elif isinstance(command, CopyCommand):

@@ -18,9 +18,10 @@ records the same structure first-class:
   ``repro trace`` CLI (imported explicitly; not re-exported here to
   keep the package import-cycle free).
 
+There is one recording mode: every guest records into a ``Trace``.
 Recording is pure bookkeeping: no simulated time is ever consumed by
-an observability hook, so a run with tracing enabled is byte-identical
-in timing to one with tracing disabled (guarded by a benchmark test).
+an observability hook, so stubbing the recorders out leaves every
+simulated timing byte-identical (guarded by a benchmark test).
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile

@@ -64,7 +64,7 @@ class Counter(Metric):
         return self.series[-1][1] if self.series else 0
 
     def inc(self, delta: Number = 1) -> None:
-        if not self._registry.enabled or delta == 0:
+        if delta == 0:
             return
         self.series.append((self._now(), self.value + delta))
 
@@ -83,8 +83,6 @@ class Gauge(Metric):
         return self.series[-1][1] if self.series else 0
 
     def set(self, value: Number) -> None:
-        if not self._registry.enabled:
-            return
         self.series.append((self._now(), value))
 
     def max(self) -> Number:
@@ -101,8 +99,6 @@ class Histogram(Metric):
         self.values: List[Number] = []
 
     def observe(self, value: Number) -> None:
-        if not self._registry.enabled:
-            return
         if isinstance(value, float) and math.isnan(value):
             # Reject at the door: a NaN observation would make every
             # later summary() raise far from the culprit.
@@ -148,13 +144,8 @@ _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 class MetricsRegistry:
     """Create-or-get registry of named metrics for one run."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], int]] = None,
-        enabled: bool = True,
-    ) -> None:
+    def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
         self._clock = clock
-        self.enabled = enabled
         self._metrics: Dict[str, Metric] = {}
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
@@ -163,11 +154,7 @@ class MetricsRegistry:
     def _get(self, name: str, kind: str) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
-            metric = _KINDS[kind](name, self)
-            # A disabled registry hands out transient no-op instruments
-            # without registering them, so it stays observably empty.
-            if self.enabled:
-                self._metrics[name] = metric
+            metric = self._metrics[name] = _KINDS[kind](name, self)
         elif metric.kind != kind:
             raise ValueError(
                 f"metric {name!r} is a {metric.kind}, not a {kind}"

@@ -22,7 +22,8 @@ other's spans: CPU-side instrumentation uses the default ``"cpu"``
 scope, the GPU command processor uses one scope per stream.
 
 Recording never touches the simulation clock — observability must not
-perturb the model (see ``benchmarks/test_extensions.py``).
+perturb the model (see ``benchmarks/test_extensions.py``).  A recorder
+not yet bound to a clock stamps time 0, as the metrics registry does.
 """
 
 from __future__ import annotations
@@ -72,19 +73,9 @@ class Span:
         return self.start_ns + self.duration_ns
 
 
-class _NullSpanContext:
-    """Shared no-op context for disabled recorders (no allocation)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: Any) -> bool:
-        return False
-
-
-_NULL_SPAN_CONTEXT = _NullSpanContext()
+def _unbound_clock() -> int:
+    """The clock of a recorder not yet bound to a simulator: time 0."""
+    return 0
 
 
 class _SpanContext:
@@ -141,13 +132,8 @@ class _SpanContext:
 class SpanRecorder:
     """Collects spans for one run; attached to every :class:`Trace`."""
 
-    def __init__(
-        self,
-        clock: Optional[Callable[[], int]] = None,
-        enabled: bool = True,
-    ) -> None:
-        self._clock = clock
-        self.enabled = enabled
+    def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
+        self._clock = clock if clock is not None else _unbound_clock
         self.spans: List[Span] = []
         self._ids = itertools.count(1)
         self._open: Dict[str, List[Span]] = {}
@@ -168,11 +154,8 @@ class SpanRecorder:
 
         Safe around generator code: the span stays open across
         simulation yields and closes (capturing the end time) when the
-        block exits, including on exceptions.  Returns a reusable no-op
-        context (entering yields ``None``) when recording is disabled.
+        block exits, including on exceptions.
         """
-        if not self.enabled or self._clock is None:
-            return _NULL_SPAN_CONTEXT
         return _SpanContext(self, name, layer, scope, attrs)
 
     def record(
@@ -184,15 +167,13 @@ class SpanRecorder:
         scope: str = "cpu",
         parent: Optional[Union[Span, int]] = None,
         **attrs: Any,
-    ) -> Optional[Span]:
+    ) -> Span:
         """Record a completed span retroactively.
 
         The parent defaults to the innermost open span of ``scope`` —
         this is how fault-recovery spans end up nested under the
         operation they delayed — or may be given explicitly.
         """
-        if not self.enabled:
-            return None
         if parent is None:
             stack = self._open.get(scope)
             parent_id = stack[-1].span_id if stack else None

@@ -53,11 +53,11 @@ HISTOGRAM_ROW_NAME = "repro.histograms"
 class Trace:
     """An ordered collection of trace events for one application run."""
 
-    def __init__(self, label: str = "", observability: bool = True) -> None:
+    def __init__(self, label: str = "") -> None:
         self.label = label
         self.events: List[TraceEvent] = []
-        self.spans = SpanRecorder(enabled=observability)
-        self.metrics = MetricsRegistry(enabled=observability)
+        self.spans = SpanRecorder()
+        self.metrics = MetricsRegistry()
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Attach the simulated-time clock used by spans and metrics."""
@@ -67,11 +67,6 @@ class Trace:
     def add(self, event: TraceEvent) -> TraceEvent:
         self.events.append(event)
         return event
-
-    def span(self, name: str, layer: str, scope: str = "cpu", **attrs):
-        """Open a hierarchical span (context manager); see
-        :meth:`repro.obs.SpanRecorder.span`."""
-        return self.spans.span(name, layer, scope=scope, **attrs)
 
     def __len__(self) -> int:
         return len(self.events)

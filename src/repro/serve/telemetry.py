@@ -65,9 +65,8 @@ from typing import (
 
 from .. import units
 from ..core.intervals import Interval, intersect, merge, subtract
-from ..obs.metrics import percentile
 from ..profiler.collector import Trace
-from .slo import RequestOutcome
+from .slo import RequestOutcome, _latency_block
 
 #: Per-request attribution vocabulary, report order.  These SUM —
 #: ``E`` is carved out of the transfer/launch time it occurs in (not
@@ -553,16 +552,6 @@ def _completed(
     attributions: Sequence[RequestAttribution],
 ) -> List[RequestAttribution]:
     return [a for a in attributions if a.status == "completed"]
-
-
-def _latency_block(samples: Sequence[float]) -> Dict[str, float]:
-    """Identical reduction to :func:`repro.serve.slo.build_report`."""
-    return {
-        "mean": (sum(samples) / len(samples)) if samples else 0.0,
-        "p50": percentile(samples, 50),
-        "p95": percentile(samples, 95),
-        "p99": percentile(samples, 99),
-    }
 
 
 def latency_percentiles(

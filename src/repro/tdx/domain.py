@@ -13,7 +13,7 @@ graph) and the per-primitive counters used in overhead breakdowns.
 
 from __future__ import annotations
 
-from typing import Generator, Optional, TYPE_CHECKING
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -21,12 +21,8 @@ from ..config import SystemConfig
 from ..crypto import throughput as crypto_throughput
 from ..faults import HYPERCALL, FatalFault, FaultInjector
 from ..mem import BounceBufferPool, HostMemory
-from ..obs import MetricsRegistry, SpanRecorder
-from ..profiler import recovery_event
+from ..profiler import Trace, recovery_event
 from ..sim import Simulator
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..profiler import Trace
 
 
 class GuestContext:
@@ -36,12 +32,19 @@ class GuestContext:
         self,
         sim: Simulator,
         config: SystemConfig,
-        trace: Optional["Trace"] = None,
+        trace: Optional[Trace] = None,
     ) -> None:
         self.sim = sim
         self.config = config
         self.cc = config.cc_on
-        self.trace = trace
+        # Observability: events, spans and sampled metrics all live on
+        # one trace, built here when the caller passes none.  Bind the
+        # raw clock slot, skipping the `now` property dispatch — this
+        # closure runs for every span/metric sample.
+        self.trace = trace if trace is not None else Trace()
+        self.trace.bind_clock(lambda sim=sim: sim._now)
+        self.spans = self.trace.spans
+        self.metrics = self.trace.metrics
         self.memory = HostMemory(
             config.vm_memory_bytes, td=self.cc, page_size=config.tdx.page_size
         )
@@ -50,14 +53,6 @@ class GuestContext:
         )
         self.rng = np.random.default_rng(config.seed)
         self.faults = FaultInjector(config.faults, seed=config.seed, sim=sim)
-        # Observability: spans and sampled metrics live on the trace;
-        # a guest without a trace records into disabled stand-ins.
-        if trace is not None:
-            self.spans = trace.spans
-            self.metrics = trace.metrics
-        else:
-            self.spans = SpanRecorder(enabled=False)
-            self.metrics = MetricsRegistry(enabled=False)
         self.bounce.on_usage = (
             lambda used: self.metrics.gauge("bounce.used_bytes").set(used)
         )
@@ -65,9 +60,6 @@ class GuestContext:
         # registry's register-on-lookup semantics — and therefore the
         # set of exported metric names — are unchanged), then reused.
         self._hypercalls_counter: Optional[object] = None
-        # Primitive counters for overhead attribution.
-        self.hypercall_count = 0
-        self.pages_converted = 0
 
     # -- fault recovery accounting ------------------------------------------
 
@@ -82,18 +74,14 @@ class GuestContext:
     ) -> None:
         """Book [start_ns, now) as recovery time for ``site``.
 
-        Emits a RECOVERY trace event (when a trace is attached) so the
-        core/breakdown gains a distinct "recovery" component, and feeds
-        the injector ledger behind the ``faults`` CLI report.  A
-        recovery *span* is recorded too, nested under whatever
-        operation span is currently open in ``scope`` — the operation
-        the fault delayed.
+        Emits a RECOVERY trace event so the core/breakdown gains a
+        distinct "recovery" component, and feeds the injector ledger
+        behind the ``faults`` CLI report.  A recovery *span* is
+        recorded too, nested under whatever operation span is currently
+        open in ``scope`` — the operation the fault delayed.
         """
         duration = self.sim.now - start_ns
-        if self.trace is not None:
-            self.trace.add(
-                recovery_event(site, start_ns, duration, attempt, action)
-            )
+        self.trace.add(recovery_event(site, start_ns, duration, attempt, action))
         self.spans.record(
             f"recover:{site}",
             "recovery",
@@ -149,7 +137,6 @@ class GuestContext:
             yield self.sim.timeout(self.config.retry.backoff_ns(attempt))
             self.record_recovery(HYPERCALL, start, attempt)
             attempt += 1
-        self.hypercall_count += 1
         duration = self.config.hypercall_ns()
         yield self.sim.timeout(duration)
         start = self.sim.now - duration
@@ -191,7 +178,6 @@ class GuestContext:
         CUDA runtime's first-launch DMA setup calls it too.  Private so
         per-method call ledgers see only the public entry points.
         """
-        self.pages_converted += pages
         duration = pages * self.config.tdx.page_convert_ns
         yield self.sim.timeout(duration)
         self.spans.record(

@@ -26,7 +26,6 @@ from repro.multigpu import (
     run_ring_all_reduce,
     wire_bytes,
 )
-from repro.profiler import Trace
 from repro.sim import Simulator
 from repro.tdx import GuestContext
 
@@ -36,9 +35,7 @@ SIZE = 8 * units.MiB
 def _guest(plan: FaultPlan):
     sim = Simulator()
     config = SystemConfig.confidential().replace(faults=plan)
-    trace = Trace(label="multigpu-faults")
-    trace.bind_clock(lambda: sim.now)
-    return sim, GuestContext(sim, config, trace=trace)
+    return sim, GuestContext(sim, config)
 
 
 def _run(sim, gen):

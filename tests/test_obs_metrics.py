@@ -59,16 +59,6 @@ def test_create_or_get_and_kind_mismatch():
     assert len(reg) == 1
 
 
-def test_disabled_registry_is_a_noop():
-    reg = MetricsRegistry(enabled=False)
-    reg.counter("c").inc()
-    reg.gauge("g").set(9)
-    reg.histogram("h").observe(1)
-    assert reg.counter("c").value == 0
-    assert reg.gauge("g").value == 0
-    assert reg.histogram("h").count == 0
-
-
 def test_unbound_clock_samples_at_zero():
     reg = MetricsRegistry()
     reg.counter("c").inc()

@@ -79,14 +79,6 @@ def test_record_explicit_parent_and_attrs():
     assert child.attrs == {"pages": 4}
 
 
-def test_disabled_recorder_records_nothing():
-    rec = SpanRecorder(enabled=False)
-    with rec.span("x", "driver") as span:
-        assert span is None
-    assert rec.record("y", "td", 0, 1) is None
-    assert len(rec) == 0
-
-
 def test_add_keeps_id_counter_ahead():
     rec, _ = _recorder()
     rec.add(Span(span_id=41, parent_id=None, name="imported",

@@ -16,6 +16,11 @@ def run(gen, sim):
     return sim.run(until=sim.process(gen))
 
 
+def _count(trace, name):
+    """A counter's value, read without registering the counter."""
+    return trace.metrics.counter(name).value if name in trace.metrics else 0
+
+
 # --- hypercall costs ---------------------------------------------------
 
 
@@ -32,7 +37,11 @@ def test_hypercall_advances_time_and_counts():
     guest = GuestContext(sim, SystemConfig.confidential())
     run(guest.hypercall("test"), sim)
     assert sim.now == SystemConfig.confidential().tdx.td_hypercall_ns
-    assert guest.hypercall_count == 1
+    # A guest built without a trace records into its own, on its clock.
+    assert _count(guest.trace, "tdx.hypercalls") == 1
+    (call,) = guest.trace.spans.roots()
+    assert (call.name, call.layer) == ("test", "tdx_module")
+    assert (call.start_ns, call.duration_ns) == (0, sim.now)
 
 
 def test_cpu_work_td_tax():
@@ -51,7 +60,7 @@ def test_set_memory_decrypted_timed_and_tracked():
     addr = guest.memory.alloc(8 * config.tdx.page_size)
     run(guest.set_memory_decrypted(addr, 8 * config.tdx.page_size), sim)
     assert sim.now == 8 * config.tdx.page_convert_ns
-    assert guest.pages_converted == 8
+    assert _count(guest.trace, "tdx.pages_converted") == 8
     # Second call: already shared, free.
     before = sim.now
     run(guest.set_memory_decrypted(addr, 8 * config.tdx.page_size), sim)
@@ -74,8 +83,8 @@ def _first_launch(config):
 def test_first_launch_converts_module_pages_and_costs_more_under_cc():
     base = _first_launch(SystemConfig.base())
     cc = _first_launch(SystemConfig.confidential())
-    assert base.guest.pages_converted == 0
-    assert cc.guest.pages_converted == 16
+    assert _count(base.trace, "tdx.pages_converted") == 0
+    assert _count(cc.trace, "tdx.pages_converted") == 16
     assert cc.elapsed_ns > base.elapsed_ns + 16 * cc.config.tdx.page_convert_ns
     (convert,) = [s for s in cc.trace.spans if s.name == "set_memory_decrypted"]
     assert convert.layer == "td"
@@ -87,21 +96,26 @@ def test_first_launch_converts_module_pages_and_costs_more_under_cc():
 @pytest.mark.parametrize("uvm", [False, True])
 @pytest.mark.parametrize("cc", [False, True])
 def test_page_conversion_and_hypercall_bookkeeping_agree(app, uvm, cc):
-    # Spans, guest counters and the metrics registry book every page
-    # conversion and hypercall exactly once.
+    # Spans and the metrics registry book every page conversion once;
+    # every guest hypercall span is counted (copy plans count theirs
+    # without a span each).
     machine = Machine(SystemConfig.confidential() if cc else SystemConfig.base())
     machine.run(CATALOG[app].app(uvm))
-    counters = {
-        m.name: m.value for m in machine.trace.metrics.sampled() if m.kind == "counter"
-    }
+    trace = machine.trace
     span_pages = sum(
-        s.attrs["pages"] for s in machine.trace.spans if s.name == "set_memory_decrypted"
+        s.attrs["pages"] for s in trace.spans if s.name == "set_memory_decrypted"
     )
-    guest = machine.guest
-    assert span_pages == guest.pages_converted
-    assert counters.get("tdx.pages_converted", 0) == guest.pages_converted
-    assert counters.get("tdx.hypercalls", 0) == guest.hypercall_count
-    assert (guest.pages_converted > 0) == cc
+    pages = _count(trace, "tdx.pages_converted")
+    assert span_pages == pages
+    assert (pages > 0) == cc
+    hypercall_spans = [
+        s for s in trace.spans
+        if s.layer in ("tdx_module", "hypervisor")
+        and s.name != "tdx_module.__seamcall"
+    ]
+    hypercalls = _count(trace, "tdx.hypercalls")
+    assert (hypercalls > 0) == cc
+    assert len(hypercall_spans) <= hypercalls
 
 
 def test_encrypt_noop_in_base_mode():
