@@ -8,9 +8,7 @@ reproduction.  See :mod:`repro.sim.engine` for the core and
 
 from .engine import (
     AllOf,
-    AnyOf,
     Event,
-    Interrupt,
     Process,
     SimTimeCollector,
     SimulationError,
@@ -21,9 +19,7 @@ from .resources import Request, Resource, Store
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Event",
-    "Interrupt",
     "Process",
     "Request",
     "Resource",

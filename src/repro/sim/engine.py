@@ -40,8 +40,8 @@ from typing import Any, Callable, Dict, Generator, Iterable, List, Optional
 _heappush = heapq.heappush
 _heappop = heapq.heappop
 
-# Internal event states (ints compare faster than strings; the public
-# string constants on Event are kept for introspection/debugging).
+# Event states (ints compare faster than strings; the names are for
+# ``repr`` only).
 _PENDING = 0
 _TRIGGERED = 1
 _PROCESSED = 2
@@ -54,14 +54,6 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation kernel."""
 
 
-class Interrupt(Exception):
-    """Thrown into a process generator by :meth:`Process.interrupt`."""
-
-    def __init__(self, cause: Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
 class Event:
     """A one-shot occurrence that callbacks (and processes) can wait on.
 
@@ -71,10 +63,6 @@ class Event:
     """
 
     __slots__ = ("sim", "_value", "_ok", "_state", "_cb1", "_cbs")
-
-    PENDING = "pending"
-    TRIGGERED = "triggered"
-    PROCESSED = "processed"
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
@@ -154,26 +142,6 @@ class Event:
         else:
             self._cbs.append(callback)
 
-    def _remove_callback(self, callback: Callable[["Event"], None]) -> None:
-        """Detach a callback if present (no-op otherwise).
-
-        Maintains the invariant that ``_cb1`` is filled before ``_cbs``
-        so callback order is preserved across removals.
-        """
-        if self._cb1 is callback:
-            cbs = self._cbs
-            if cbs:
-                self._cb1 = cbs.pop(0)
-                if not cbs:
-                    self._cbs = None
-            else:
-                self._cb1 = None
-        elif self._cbs is not None:
-            try:
-                self._cbs.remove(callback)
-            except ValueError:
-                pass
-
     def _process(self) -> None:
         cb1 = self._cb1
         cbs = self._cbs
@@ -225,17 +193,15 @@ class Process(Event):
     value is the generator's return value) or raises.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_resume_bound")
+    __slots__ = ("_generator", "_resume_bound")
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         if not hasattr(generator, "send"):
             raise SimulationError("process target must be a generator")
         Event.__init__(self, sim)
         self._generator = generator
-        self._waiting_on: Optional[Event] = None
-        # One bound method for the process lifetime: callback removal
-        # (interrupt) compares by identity, and rebinding per resume
-        # would allocate on every yield.
+        # One bound method for the process lifetime: rebinding per
+        # resume would allocate on every yield.
         resume = self._resume_bound = self._resume
         # Bootstrap: resume once at the current time, through the queue,
         # so process starts interleave deterministically with events
@@ -245,39 +211,7 @@ class Process(Event):
         init._cb1 = resume
         sim._schedule(init, 0)
 
-    @property
-    def is_alive(self) -> bool:
-        return self._state == _PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a process that already terminated is a caller bug
-        and raises a clear :class:`SimulationError` (the scheduler state
-        is left untouched).  An interrupt already *in flight* when the
-        process terminates is discarded by :meth:`_resume`.
-        """
-        if self._state != _PENDING:
-            raise SimulationError(
-                "cannot interrupt a terminated process "
-                f"(state={_STATE_NAMES[self._state]})"
-            )
-        waiting, self._waiting_on = self._waiting_on, None
-        if waiting is not None and waiting._state != _PROCESSED:
-            waiting._remove_callback(self._resume_bound)
-        wake = Event(self.sim)
-        wake.fail(Interrupt(cause))
-        wake._cb1 = self._resume_bound
-
     def _resume(self, event: Event) -> None:
-        if self._state != _PENDING:
-            # Stale wakeup: an interrupt (or double interrupt) delivered
-            # after the process already terminated.  Throwing into the
-            # closed generator would re-trigger this (already
-            # triggered) event and corrupt the scheduler mid-step —
-            # drop the wakeup instead.
-            return
-        self._waiting_on = None
         try:
             if event._ok:
                 target = self._generator.send(event._value)
@@ -299,7 +233,6 @@ class Process(Event):
                 SimulationError("process yielded event from another simulator")
             )
             return
-        self._waiting_on = target
         target.add_callback(self._resume_bound)
 
 
@@ -330,31 +263,6 @@ class AllOf(Event):
         self._pending -= 1
         if self._pending == 0:
             self.succeed([child._value for child in self._events])
-
-
-class AnyOf(Event):
-    """Triggers when the first child event triggers.
-
-    Its value is ``(index, value)`` of the first child to fire.
-    """
-
-    __slots__ = ("_events",)
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        Event.__init__(self, sim)
-        self._events = list(events)
-        if not self._events:
-            raise SimulationError("AnyOf requires at least one event")
-        for index, event in enumerate(self._events):
-            event.add_callback(lambda ev, i=index: self._on_child(i, ev))
-
-    def _on_child(self, index: int, event: Event) -> None:
-        if self._state != _PENDING:
-            return
-        if not event._ok:
-            self.fail(event._value)
-            return
-        self.succeed((index, event._value))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +352,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     # -- scheduling ------------------------------------------------------
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
@@ -505,12 +410,12 @@ class Simulator:
             self._cursor = 0
         return None
 
-    def run(self, until: Optional[Any] = None) -> Any:
-        """Run until the queue drains, a deadline passes, or an event fires.
+    def run(self, until: Optional[Event] = None) -> Any:
+        """Run until the queue drains, or until an event fires.
 
-        ``until`` may be ``None`` (drain), an integer time in ns, or an
-        :class:`Event` (run until it is processed and return its value;
-        raises if it failed).
+        ``until`` may be ``None`` (drain) or an :class:`Event` (run
+        until it is processed and return its value; raises if it
+        failed).
         """
         # The two hot drain loops below are `_next()` inlined by hand:
         # one call frame and a handful of attribute loads per event are
@@ -533,33 +438,24 @@ class Simulator:
                     del buckets[when]
                     self._cursor = 0
             return None
-        if isinstance(until, Event):
-            while until._state != _PROCESSED:
-                if not times:
-                    raise SimulationError(
-                        "simulation ran out of events before target triggered"
-                    )
-                when = times[0]
-                bucket = buckets[when]
-                cursor = self._cursor
-                if cursor < len(bucket):
-                    self._cursor = cursor + 1
-                    self._now = when
-                    bucket[cursor]._process()
-                else:
-                    _heappop(times)
-                    del buckets[when]
-                    self._cursor = 0
-            if not until._ok:
-                raise until._value
-            return until._value
-        advance = self._next
-        deadline = int(until)
-        while True:
-            when = self.peek()
-            if when is None or when > deadline:
-                break
-            event = advance()
-            event._process()
-        self._now = max(self._now, deadline)
-        return None
+        if not isinstance(until, Event):
+            raise TypeError(f"run(until=) takes an Event, got {until!r}")
+        while until._state != _PROCESSED:
+            if not times:
+                raise SimulationError(
+                    "simulation ran out of events before target triggered"
+                )
+            when = times[0]
+            bucket = buckets[when]
+            cursor = self._cursor
+            if cursor < len(bucket):
+                self._cursor = cursor + 1
+                self._now = when
+                bucket[cursor]._process()
+            else:
+                _heappop(times)
+                del buckets[when]
+                self._cursor = 0
+        if not until._ok:
+            raise until._value
+        return until._value

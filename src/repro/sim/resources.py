@@ -10,7 +10,7 @@ GPU command processor).
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from .engine import Event, SimulationError, Simulator
 
@@ -69,13 +69,9 @@ class Resource:
         if request.resource is not self:
             raise SimulationError("release of a foreign request")
         if not request.triggered:
-            # Cancelled while waiting: drop it from the queue.
-            try:
-                self._waiters.remove(request)
-            except ValueError:
-                raise SimulationError("request neither granted nor queued")
-            request.fail(SimulationError("request cancelled"))
-            return
+            # Only a granted slot can be released: without interrupts, a
+            # process waiting on its request cannot give it up.
+            raise SimulationError("release of a request not yet granted")
         if self._in_use <= 0:
             raise SimulationError("release without outstanding grant")
         if self._waiters:
@@ -86,57 +82,33 @@ class Resource:
 
 
 class Store:
-    """Unbounded FIFO of items with blocking get, optional capacity.
+    """Unbounded FIFO of items with blocking get.
 
-    ``put`` returns an event that triggers once the item is accepted
-    (immediately unless a ``capacity`` was given and the store is full).
-    ``get`` returns an event whose value is the item.
+    ``put`` returns an event that triggers at once (the item is always
+    accepted); ``get`` returns an event whose value is the item.
     """
 
-    __slots__ = ("sim", "capacity", "_items", "_getters", "_putters")
+    __slots__ = ("sim", "_items", "_getters")
 
-    def __init__(self, sim: Simulator, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise SimulationError("store capacity must be >= 1 or None")
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.capacity = capacity
         self._items: Deque[Any] = deque()
         self._getters: Deque[Event] = deque()
-        self._putters: Deque[tuple] = deque()  # (event, item)
 
     def __len__(self) -> int:
         return len(self._items)
 
     def put(self, item: Any) -> Event:
-        event = Event(self.sim)
         if self._getters:
-            getter = self._getters.popleft()
-            getter.succeed(item)
-            event.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            event.succeed()
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((event, item))
-        return event
+            self._items.append(item)
+        return Event(self.sim).succeed()
 
     def get(self) -> Event:
         event = Event(self.sim)
         if self._items:
             event.succeed(self._items.popleft())
-            self._admit_waiting_putter()
-        elif self._putters:
-            put_event, item = self._putters.popleft()
-            put_event.succeed()
-            event.succeed(item)
         else:
             self._getters.append(event)
         return event
-
-    def _admit_waiting_putter(self) -> None:
-        if self._putters and (
-            self.capacity is None or len(self._items) < self.capacity
-        ):
-            put_event, item = self._putters.popleft()
-            self._items.append(item)
-            put_event.succeed()

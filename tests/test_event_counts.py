@@ -3,8 +3,9 @@
 Output digests prove that a change kept the simulated timeline; they
 say nothing about how much work the simulator did to produce it.  This
 test pins the deterministic work counters of three small app runs:
-events put on the kernel's queue (``Simulator.scheduled``), span
-records, ``Trace`` events and kernel launches.  A change that adds
+events put on the kernel's queue (``Simulator.scheduled``), processes
+started (``Process`` constructions), span records, ``Trace`` events
+and kernel launches.  A change that adds
 events or spans by accident fails here even when every golden holds.
 
 A change that moves a count on purpose regenerates the snapshot with
@@ -23,6 +24,7 @@ import pytest
 from repro.check.differ import Tolerance, diff_payloads
 from repro.config import SystemConfig
 from repro.cuda import Machine
+from repro.sim import Process
 from repro.workloads import CATALOG
 
 SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "event_counts.json")
@@ -38,9 +40,21 @@ CELLS = {
 def measure(cell: str) -> dict:
     app, cc, uvm = CELLS[cell]
     config = SystemConfig.confidential() if cc else SystemConfig.base()
-    machine = Machine(config, label=app)
-    machine.run(CATALOG[app].app(uvm))
+    started = []
+    init = Process.__init__
+
+    def counting_init(self, sim, generator):
+        started.append(self)
+        init(self, sim, generator)
+
+    Process.__init__ = counting_init
+    try:
+        machine = Machine(config, label=app)
+        machine.run(CATALOG[app].app(uvm))
+    finally:
+        Process.__init__ = init
     return {
+        "sim.processes": len(started),
         "sim.scheduled": machine.sim.scheduled,
         "spans": len(machine.trace.spans),
         "trace_events": len(machine.trace),

@@ -180,18 +180,6 @@ def test_run_until_untriggered_event_fails_cleanly():
         sim.run(until=event)
 
 
-def test_interrupt_finished_process_rejected():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1)
-
-    process = sim.process(proc())
-    sim.run()
-    with pytest.raises(SimulationError):
-        process.interrupt()
-
-
 # --- configuration validation ---------------------------------------------------
 
 

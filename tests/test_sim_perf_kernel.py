@@ -6,10 +6,7 @@ it is *observably identical* to the reference (time, seq) heap it
 replaced.  These tests pin that contract from three directions:
 
 * API regressions the rewrite fixed: negative-delay ``succeed``/
-  ``fail`` must raise before mutating the event, interrupting a
-  terminated process must raise a clear error, and stale wakeups
-  (e.g. a second interrupt racing a process's completion) must be
-  ignored rather than corrupting generator state.
+  ``fail`` must raise before mutating the event.
 * A Hypothesis property: for arbitrary schedules — including
   same-timestamp storms and events that schedule more events when they
   fire — the bucketed queue drains in exactly the order a (time, seq)
@@ -27,7 +24,7 @@ from hypothesis import strategies as st
 
 from repro.config import resolve_system_configs
 from repro.serve import ScenarioSpec, run_scenario, verdict_json
-from repro.sim import Interrupt, SimulationError, Simulator
+from repro.sim import SimulationError, Simulator
 
 # ---------------------------------------------------------------------------
 # Negative-delay validation (succeed/fail must reject before mutating)
@@ -64,72 +61,6 @@ def test_negative_timeout_rejected():
     sim = Simulator()
     with pytest.raises(SimulationError, match="negative timeout delay"):
         sim.timeout(-1)
-
-
-# ---------------------------------------------------------------------------
-# Interrupting terminated processes / stale wakeups
-
-
-def test_interrupt_terminated_process_raises():
-    sim = Simulator()
-
-    def proc():
-        yield sim.timeout(1)
-
-    process = sim.process(proc())
-    sim.run()
-    assert not process.is_alive
-    with pytest.raises(SimulationError, match="terminated process"):
-        process.interrupt("too late")
-
-
-def test_double_interrupt_stale_wakeup_is_ignored():
-    """A second interrupt delivered in the same tick must not resume a
-    process that already finished handling the first one."""
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as exc:
-            log.append(("interrupted", exc.cause))
-        # Returns immediately: the second wake arrives after death.
-
-    process = sim.process(victim())
-
-    def interrupter():
-        yield sim.timeout(1)
-        process.interrupt("first")
-        process.interrupt("second")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [("interrupted", "first")]
-    assert not process.is_alive
-
-
-def test_interrupted_process_can_keep_running():
-    sim = Simulator()
-    log = []
-
-    def victim():
-        try:
-            yield sim.timeout(100)
-        except Interrupt as exc:
-            log.append((sim.now, exc.cause))
-        yield sim.timeout(5)
-        log.append((sim.now, "done"))
-
-    process = sim.process(victim())
-
-    def interrupter():
-        yield sim.timeout(3)
-        process.interrupt("poke")
-
-    sim.process(interrupter())
-    sim.run()
-    assert log == [(3, "poke"), (8, "done")]
 
 
 # ---------------------------------------------------------------------------

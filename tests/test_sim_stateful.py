@@ -65,21 +65,19 @@ class ResourceMachine(RuleBasedStateMachine):
 
 
 class StoreMachine(RuleBasedStateMachine):
-    """Drives a bounded Store with producers and consumers."""
+    """Drives an unbounded Store with producers and consumers."""
 
-    @initialize(capacity=st.integers(min_value=1, max_value=3))
-    def setup(self, capacity):
+    @initialize()
+    def setup(self):
         self.sim = Simulator()
-        self.store = Store(self.sim, capacity=capacity)
-        self.capacity = capacity
-        self.put_seq = 0
+        self.store = Store(self.sim)
         self.produced = []
         self.consumed = []
+        self.consumers = 0
 
     @rule()
     def produce(self):
-        item = self.put_seq
-        self.put_seq += 1
+        item = len(self.produced)
         self.produced.append(item)
 
         def producer():
@@ -89,6 +87,8 @@ class StoreMachine(RuleBasedStateMachine):
 
     @rule()
     def consume(self):
+        self.consumers += 1
+
         def consumer():
             value = yield self.store.get()
             self.consumed.append(value)
@@ -103,20 +103,23 @@ class StoreMachine(RuleBasedStateMachine):
             self.sim.step()
 
     @invariant()
-    def bounded(self):
-        assert len(self.store) <= self.capacity
-
-    @invariant()
     def fifo_order(self):
         # Items come out in the order they were produced.
         assert self.consumed == self.produced[: len(self.consumed)]
 
+    @invariant()
+    def conserved(self):
+        # Every item put is either taken or still held, never both.
+        taken = len(self.consumed)
+        assert len(self.store) <= len(self.produced) - taken
+
     def teardown(self):
         self.sim.run()
-        matched = min(len(self.produced), self.put_seq)
-        # Everything that could pair up did, in order.
-        assert self.consumed == self.produced[: len(self.consumed)]
-        assert matched >= len(self.consumed)
+        # Every producer and consumer that could pair up did, in order;
+        # the rest wait in the store (items) or on it (getters).
+        matched = min(len(self.produced), self.consumers)
+        assert self.consumed == self.produced[:matched]
+        assert len(self.store) == len(self.produced) - matched
 
 
 TestResourceStateful = ResourceMachine.TestCase
