@@ -41,6 +41,7 @@ from typing import Dict, Generator, List, Optional
 from .. import units
 from ..config import SystemConfig
 from ..cuda import CudaRuntime, run_app
+from ..cuda.runtime import outstanding
 from ..faults import BOUNCE_POOL, FatalFault
 from ..faults import SPDM as SPDM_SITE
 from ..llm.backends import VLLM_STEP_SCHED_NS, VLLMBackend
@@ -718,10 +719,16 @@ class _TokenFlusher:
         self.pending_done.extend(dones)
 
     def _drain_one(self) -> Generator:
-        """Host-sync the oldest outstanding async flush."""
-        event, firsts, dones = self.inflight.pop(0)
-        if not event.processed:
-            yield event
+        """Host-sync the oldest outstanding async flush.  A failed one
+        crashes the engine, as a blocking flush does; the crash path
+        delivers its tokens, which the device had already generated."""
+        event, firsts, dones = self.inflight[0]
+        try:
+            for pending in outstanding(event):
+                yield pending
+        except FatalFault as exc:
+            raise _EngineCrash(exc.site) from exc
+        del self.inflight[0]
         self.run.deliver(self.run.rt.sim.now, firsts, dones)
 
     def flush(self) -> Generator:
@@ -771,6 +778,10 @@ class _TokenFlusher:
         for _event, firsts, dones in self.inflight:
             self.run.deliver(when, firsts, dones)
         self.inflight.clear()
+        if self.stream is not None:
+            # Written-off flushes gate nothing now, so a failed one
+            # fails neither later flushes nor the final synchronize.
+            self.stream.tail = None
         self.run.deliver(when, self.pending_first, self.pending_done)
         self._reset()
 

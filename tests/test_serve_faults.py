@@ -37,6 +37,7 @@ from repro.faults import (
     SiteFaults,
 )
 from repro.figures.ext_fault_serving import fault_plan_for, spec_for
+from repro.gpu.device import GPU
 from repro.llm.kvcache import KVCacheError
 from repro.serve import (
     COMPLETED,
@@ -330,6 +331,56 @@ def test_untuned_crash_inside_token_d2h_delivers_at_crash_time(monkeypatch):
         assert outcomes[sid].status == COMPLETED
         assert outcomes[sid].finish_ns == crash_ns
     assert len(crashed.outcomes) == len(clean.outcomes)
+
+
+def _flush_dma_draws(spec, tuning, monkeypatch):
+    """DMA-site occurrence numbers of the overlapped token flushes, the
+    only copies an engine runs on the GPU's copy engines."""
+    draws = []
+    real = GPU._dma_with_retry
+
+    def spy(self, command, scope="cpu"):
+        draws.append(self.guest.faults.occurrences.get(DMA, 0))
+        return (yield from real(self, command, scope))
+
+    monkeypatch.setattr(GPU, "_dma_with_retry", spy)
+    never = FaultPlan.from_mapping({DMA: SiteFaults(schedule=(10**9,))})
+    run_scenario(spec, _cc(never), tuning=tuning)
+    monkeypatch.undo()
+    return draws
+
+
+@pytest.mark.parametrize("flush, restarts", [
+    pytest.param(4, 2, id="mid-run"),
+    pytest.param(-1, 2, id="last"),
+    pytest.param(4, 0, id="mid-run-gives-up"),
+])
+def test_overlapped_flush_fatal_fault_crashes_the_engine(
+    monkeypatch, flush, restarts
+):
+    # One overlapped token flush exhausts its DMA retries on the GPU.
+    # Like a failed blocking flush, that crashes the engine: it restarts
+    # and serves on (its next flushes must not inherit the failure), or
+    # past its restart budget it gives up.  Either way run() returns a
+    # report; it must neither raise nor lose the fault.
+    spec, tuning = parse_pipeline("overlap:2").apply(
+        ScenarioSpec(**SHORT, max_engine_restarts=restarts)
+    )
+    first = _flush_dma_draws(spec, tuning, monkeypatch)[flush]
+    attempts = SystemConfig.confidential().retry.max_attempts
+    plan = FaultPlan.from_mapping(
+        {DMA: SiteFaults(schedule=tuple(range(first, first + attempts)))}
+    )
+    _, result = run_scenario(spec, _cc(plan), tuning=tuning)
+    stats = result.engine.stats
+    assert stats["restarts"] == 1
+    if restarts:
+        assert stats["failed"] == 0
+        assert result.report["completed"] == result.requests
+    else:
+        assert stats["failed"] > 0
+        assert DMA in result.report["failed_causes"]
+    _partition_holds(result)
 
 
 def test_circuit_breaker_absorbs_spdm_storms():
