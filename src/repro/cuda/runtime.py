@@ -34,13 +34,7 @@ from ..faults import (
 from ..gpu import GPU, KernelCommand, KernelSpec
 from ..gpu.device import CopyCommand
 from ..mem.allocator import OutOfMemoryError
-from ..profiler import (
-    alloc_event,
-    free_event,
-    launch_event,
-    memcpy_event,
-    sync_event,
-)
+from ..profiler import memcpy_event
 from ..sim import Event, Simulator
 from ..tdx import GuestContext
 from .memory import Buffer, DeviceBuffer, HostBuffer, ManagedBuffer
@@ -129,7 +123,6 @@ class CudaRuntime:
         self._streams: List[Stream] = [self.default_stream]
         self._seen_kernels: set = set()
         self._hypercall_accum = 0.0
-        self._last_launch_end: Optional[int] = None
         # Lazily cached on first launch, not per launch (the registry
         # hands back the same object for a given name; resolving on use
         # keeps its register-on-lookup semantics observable).
@@ -142,28 +135,21 @@ class CudaRuntime:
     # Memory management (Fig. 6 cost model)
     # ------------------------------------------------------------------
 
-    def _mgmt_cost_ns(self, base: str) -> Generator:
+    def _timed_mgmt(self, which: str, api: str, size: int) -> Generator:
         """Timed driver work of an allocation-family API."""
         spec = self.config.alloc
         suffix = "_cc" if self.config.cc_on else ""
-        base_ns = getattr(spec, f"{base}{suffix}_base_ns")
-        per_page = getattr(spec, f"{base}{suffix}_per_page_ns")
-        return base_ns, per_page
-
-    def _timed_mgmt(self, which: str, api: str, size: int) -> Generator:
-        base_ns, per_page = self._mgmt_cost_ns(which)
+        base_ns = getattr(spec, f"{which}{suffix}_base_ns")
+        per_page = getattr(spec, f"{which}{suffix}_per_page_ns")
         num_pages = units.pages(size, self.config.tdx.page_size)
         cost = self.guest.jitter(int(base_ns + per_page * num_pages), 0.05)
-        start = self.sim.now
         with self.guest.spans.span(api, "driver", bytes=size):
             yield from self.guest.cpu_work(cost)
-        return start, self.sim.now - start
 
     def malloc(self, size: int) -> Generator:
         """cudaMalloc: device-memory allocation."""
-        start, duration = yield from self._timed_mgmt("dmalloc", "cudaMalloc", size)
+        yield from self._timed_mgmt("dmalloc", "cudaMalloc", size)
         address = self.gpu.hbm.alloc(size)
-        self.trace.add(alloc_event("cudaMalloc", start, duration, size))
         return DeviceBuffer(address, size, MemoryKind.DEVICE)
 
     def malloc_host(self, size: int) -> Generator:
@@ -173,11 +159,8 @@ class CudaRuntime:
         driver falls back to UVM-backed pageable mechanisms
         (Observation 1) — same API, different machinery underneath.
         """
-        start, duration = yield from self._timed_mgmt(
-            "hmalloc", "cudaMallocHost", size
-        )
+        yield from self._timed_mgmt("hmalloc", "cudaMallocHost", size)
         address = self.guest.memory.alloc(size)
-        self.trace.add(alloc_event("cudaMallocHost", start, duration, size))
         return HostBuffer(
             address,
             size,
@@ -194,12 +177,9 @@ class CudaRuntime:
 
     def malloc_managed(self, size: int) -> Generator:
         """cudaMallocManaged: UVM allocation (lazy backing)."""
-        start, duration = yield from self._timed_mgmt(
-            "managed_alloc", "cudaMallocManaged", size
-        )
+        yield from self._timed_mgmt("managed_alloc", "cudaMallocManaged", size)
         address = self.guest.memory.alloc(size)
         handle = self.gpu.uvm.register(size)
-        self.trace.add(alloc_event("cudaMallocManaged", start, duration, size))
         return ManagedBuffer(
             address, size, MemoryKind.MANAGED, uvm_handle=handle
         )
@@ -219,9 +199,8 @@ class CudaRuntime:
             self._release(buffer)
             yield from self.guest.cpu_work(units.ns(600))
             return None
-        start, duration = yield from self._timed_mgmt(which, api, buffer.size)
+        yield from self._timed_mgmt(which, api, buffer.size)
         self._release(buffer)
-        self.trace.add(free_event(api, start, duration, buffer.size))
         return None
 
     def reclaim(self, buffer: Buffer) -> None:
@@ -535,12 +514,6 @@ class CudaRuntime:
             )
         depth.set(self.gpu.launch_credits.in_use)
         try:
-            start = self.sim.now
-            lqt = (
-                max(0, start - self._last_launch_end)
-                if self._last_launch_end is not None
-                else 0
-            )
             first = kernel.name not in self._seen_kernels
             with self.guest.spans.span(
                 "cudaLaunchKernel",
@@ -564,16 +537,11 @@ class CudaRuntime:
             # leak, or later launches deadlock on backpressure.
             self.gpu.launch_credits.release(credit)
             raise
-        end = self.sim.now
-        self._last_launch_end = end
-        self.trace.add(
-            launch_event(kernel.name, start, end - start, lqt, stream.id, first)
-        )
         done = self.sim.event()
         command = KernelCommand(
             kernel=kernel,
             stream=stream.id,
-            enqueued_ns=end,
+            enqueued_ns=self.sim.now,
             done=done,
             predecessor=stream.tail,
             awaited=stream.awaited,
@@ -647,21 +615,16 @@ class CudaRuntime:
         yield from self.guest.cpu_work(duration_ns)
 
     def stream_synchronize(self, stream: Stream) -> Generator:
-        start = self.sim.now
         with self.guest.spans.span(
             "cudaStreamSynchronize", "driver", stream=stream.id
         ):
             for event in outstanding(stream.tail, stream.awaited):
                 yield event
             yield from self._sync_overhead()
-        self.trace.add(
-            sync_event("cudaStreamSynchronize", start, self.sim.now - start)
-        )
         return None
 
     def synchronize(self) -> Generator:
         """cudaDeviceSynchronize: wait for all streams."""
-        start = self.sim.now
         with self.guest.spans.span("cudaDeviceSynchronize", "driver"):
             pending = outstanding(
                 *(e for s in self._streams for e in (s.tail, s.awaited))
@@ -669,9 +632,6 @@ class CudaRuntime:
             if pending:
                 yield self.sim.all_of(pending)
             yield from self._sync_overhead()
-        self.trace.add(
-            sync_event("cudaDeviceSynchronize", start, self.sim.now - start)
-        )
         return None
 
     def _sync_overhead(self) -> Generator:
@@ -720,12 +680,6 @@ class CudaRuntime:
         """One launch submits every node: the KLO is paid once."""
         stream = stream or self.default_stream
         cfg = self.config.launch
-        start = self.sim.now
-        lqt = (
-            max(0, start - self._last_launch_end)
-            if self._last_launch_end is not None
-            else 0
-        )
         cost = cfg.graph_launch_base_ns + cfg.graph_launch_per_node_ns * graph.num_nodes
         with self.guest.spans.span(
             "cudaGraphLaunch",
@@ -739,12 +693,6 @@ class CudaRuntime:
             if self.config.cc_on:
                 yield from self._cc_launch_extra()
         end = self.sim.now
-        self._last_launch_end = end
-        self.trace.add(
-            launch_event(
-                f"graph[{graph.num_nodes}]", start, end - start, lqt, stream.id
-            )
-        )
         last_done = None
         for index, (kernel, touches) in enumerate(graph.nodes):
             done = self.sim.event()

@@ -7,8 +7,8 @@ hypercall errors forcing retries, bounce-pool exhaustion forcing
 chunked-staging degradation, and SPDM attestation failures forcing
 re-attestation.  Injection is seeded and deterministic (driven by
 ``SystemConfig.seed``); every injected fault and retry is timed on the
-simulated clock and emitted as a ``recovery`` trace event so the
-Fig.-1 style breakdown gains a recovery-overhead component.
+simulated clock and recorded as a ``recovery`` span (the trace derives
+its event), so the Fig.-1 style breakdown gains a recovery component.
 """
 
 from .errors import (

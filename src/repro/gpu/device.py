@@ -166,8 +166,8 @@ class GPU:
                 failed = awaited
             if failed is not None and not failed.ok:
                 # Fail without leaking the kernel's launch credit.
-                if isinstance(command, KernelCommand) and command.credit is not None:
-                    self.launch_credits.release(command.credit)
+                if isinstance(command, KernelCommand):
+                    self._release_credit(command)
                 command.done.fail(failed.value)
             elif isinstance(command, KernelCommand):
                 yield from self._run_kernel(command, scope)
@@ -218,10 +218,14 @@ class GPU:
         finally:
             self.compute.release(slot)
             inflight.set(self.compute.in_use)
+        self._release_credit(command)
+        command.done.succeed()
+
+    def _release_credit(self, command: KernelCommand) -> None:
+        """Return a done or failed kernel's credit; sample the gauge."""
         if command.credit is not None:
             self.launch_credits.release(command.credit)
             self._gauge("launch.queue_depth").set(self.launch_credits.in_use)
-        command.done.succeed()
 
     def _run_copy(self, command: CopyCommand, scope: str) -> Generator:
         engine = self._copy_engines[command.copy_kind].request()

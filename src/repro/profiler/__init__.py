@@ -8,8 +8,6 @@ from .collector import Trace
 from .events import (
     EventKind,
     TraceEvent,
-    alloc_event,
-    free_event,
     kernel_event,
     launch_event,
     memcpy_event,
@@ -41,13 +39,11 @@ __all__ = [
     "Trace",
     "TraceEvent",
     "TraceImportError",
-    "alloc_event",
     "assert_valid_chrome_trace",
     "cdf",
     "cdf_at",
     "folded_from_spans",
     "frame_share",
-    "free_event",
     "from_chrome_trace",
     "from_rows",
     "load_chrome_trace",

@@ -2,7 +2,9 @@
 
 A :class:`Trace` is the full observability record of one run: the flat
 Nsight-style event list, the hierarchical span tree, and the sampled
-metrics registry (see :mod:`repro.obs`).  Export produces
+metrics registry (see :mod:`repro.obs`).  Each CPU-side CUDA API call
+and each fault recovery is recorded once, as a span; its event is
+derived from that span when the trace is read.  Export produces
 Perfetto-grade Chrome tracing JSON — integer pid/tid with "M"-phase
 process/thread name metadata, one thread track per event category and
 per span layer, and "C"-phase counter tracks — that round-trips
@@ -15,7 +17,7 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import SpanRecorder
+from ..obs.spans import Span, SpanRecorder
 from .events import EventKind, TraceEvent
 
 # Exported process id (one simulated application per trace).
@@ -49,15 +51,62 @@ _FIRST_DYNAMIC_TID = 20
 # Metadata row that carries histogram metrics through export/import.
 HISTOGRAM_ROW_NAME = "repro.histograms"
 
+# CUDA API spans and the kind of event each one derives.
+API_EVENT_KINDS: Dict[str, EventKind] = {
+    **dict.fromkeys(("cudaMalloc", "cudaMallocHost", "cudaMallocManaged"), EventKind.ALLOC),
+    **dict.fromkeys(("cudaFree", "cudaFree(managed)", "cudaFreeHost"), EventKind.FREE),
+    **dict.fromkeys(("cudaStreamSynchronize", "cudaDeviceSynchronize"), EventKind.SYNC),
+    **dict.fromkeys(("cudaLaunchKernel", "cudaGraphLaunch"), EventKind.LAUNCH),
+}
+
+
+def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
+    """The events of the CUDA API calls (:data:`API_EVENT_KINDS`) and
+    fault recoveries (layer ``recovery``) among ``spans``, in record
+    order.  A launch's LQT is the gap since the previous launch span
+    ended (Sec. V), 0 for the first launch.
+    """
+    events = []
+    last_launch_end: Optional[int] = None
+    for span in spans:
+        kind = API_EVENT_KINDS.get(span.name)
+        if span.layer == "recovery":
+            kind = EventKind.RECOVERY
+        elif kind is None:
+            continue
+        # Alloc, free and recovery spans carry exactly their event's attrs.
+        attrs = {} if kind is EventKind.SYNC else dict(span.attrs)
+        event = TraceEvent(kind, span.name, span.start_ns, span.duration_ns, attrs=attrs)
+        if kind is EventKind.LAUNCH:
+            if last_launch_end is not None:
+                event.queue_ns = max(0, span.start_ns - last_launch_end)
+            last_launch_end = span.end_ns
+            event.name = (
+                attrs.pop("kernel") if span.name == "cudaLaunchKernel"
+                else f"graph[{attrs.pop('nodes')}]"
+            )
+            event.stream = attrs.pop("stream")
+            attrs.setdefault("first", False)
+        events.append(event)
+    return events
+
 
 class Trace:
-    """An ordered collection of trace events for one application run."""
+    """An ordered collection of trace events for one application run.
+
+    GPU kernels and copies, and imported rows, are recorded with
+    :meth:`add`; the other events are derived from spans
+    (:func:`derive_events`) when :attr:`events` is read, after the run
+    (an open span would derive a zero duration).  A kind with recorded
+    events derives none: an imported trace keeps exactly its rows.
+    """
 
     def __init__(self, label: str = "") -> None:
         self.label = label
-        self.events: List[TraceEvent] = []
         self.spans = SpanRecorder()
         self.metrics = MetricsRegistry()
+        self._recorded: List[TraceEvent] = []
+        self._derived_at: Optional[Tuple[int, int]] = None
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
         """Attach the simulated-time clock used by spans and metrics."""
@@ -65,8 +114,19 @@ class Trace:
         self.metrics.bind_clock(clock)
 
     def add(self, event: TraceEvent) -> TraceEvent:
-        self.events.append(event)
+        self._recorded.append(event)
         return event
+
+    @property
+    def events(self) -> List[TraceEvent]:
+        """Recorded events, then the derived ones; rebuilt only when an
+        event or span was added since the last read."""
+        key = (len(self._recorded), len(self.spans))
+        if key != self._derived_at:
+            recorded = {e.kind for e in self._recorded}
+            derived = [e for e in derive_events(self.spans) if e.kind not in recorded]
+            self._events, self._derived_at = self._recorded + derived, key
+        return self._events
 
     def __len__(self) -> int:
         return len(self.events)

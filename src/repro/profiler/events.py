@@ -1,10 +1,12 @@
 """Trace event model — the simulator's Nsight-Systems equivalent.
 
-Every timed activity in the runtime/GPU emits one :class:`TraceEvent`.
-The vocabulary matches the categories the paper's analysis uses:
-Launch (KLO), Kernel (KET, with queuing KQT), Memcpy, Alloc, Free, and
-Sync.  Queuing times are attached to the event they precede (``lqt_ns``
-on launches, ``kqt_ns`` on kernels) exactly as defined in Sec. V.
+Every timed activity in the runtime/GPU has one :class:`TraceEvent`;
+CPU-side API calls and fault recoveries derive theirs from spans
+(:func:`repro.profiler.collector.derive_events`).  The vocabulary
+matches the paper's categories: Launch (KLO), Kernel (KET, with queuing
+KQT), Memcpy, Alloc, Free, and Sync.  Queuing times are attached to the
+event they precede (``lqt_ns`` on launches, ``kqt_ns`` on kernels)
+exactly as defined in Sec. V.
 """
 
 from __future__ import annotations
@@ -114,18 +116,6 @@ def memcpy_event(
             # Nsight labels CC pinned-copies as "Managed" D2D (Sec. VI-A).
             "managed": managed,
         },
-    )
-
-
-def alloc_event(api: str, start_ns: int, duration_ns: int, size_bytes: int) -> TraceEvent:
-    return TraceEvent(
-        EventKind.ALLOC, api, start_ns, duration_ns, attrs={"bytes": size_bytes}
-    )
-
-
-def free_event(api: str, start_ns: int, duration_ns: int, size_bytes: int) -> TraceEvent:
-    return TraceEvent(
-        EventKind.FREE, api, start_ns, duration_ns, attrs={"bytes": size_bytes}
     )
 
 

@@ -21,7 +21,7 @@ from ..config import SystemConfig
 from ..crypto import throughput as crypto_throughput
 from ..faults import HYPERCALL, FatalFault, FaultInjector
 from ..mem import BounceBufferPool, HostMemory
-from ..profiler import Trace, recovery_event
+from ..profiler import Trace
 from ..sim import Simulator
 
 
@@ -74,14 +74,12 @@ class GuestContext:
     ) -> None:
         """Book [start_ns, now) as recovery time for ``site``.
 
-        Emits a RECOVERY trace event so the core/breakdown gains a
-        distinct "recovery" component, and feeds the injector ledger
-        behind the ``faults`` CLI report.  A recovery *span* is
-        recorded too, nested under whatever operation span is currently
-        open in ``scope`` — the operation the fault delayed.
+        Records a ``recovery`` span (the trace derives its RECOVERY
+        event, the core/breakdown "recovery" component) nested under the
+        span open in ``scope`` — the operation the fault delayed — and
+        feeds the injector ledger behind the ``faults`` CLI report.
         """
         duration = self.sim.now - start_ns
-        self.trace.add(recovery_event(site, start_ns, duration, attempt, action))
         self.spans.record(
             f"recover:{site}",
             "recovery",

@@ -33,6 +33,7 @@ from repro.faults import (
     RetryPolicy,
     SiteFaults,
 )
+from repro.profiler import EventKind
 from repro.tdx.spdm import SpdmError, attest_gpu
 from repro.workloads.spec import WorkloadSpec
 
@@ -346,6 +347,64 @@ def test_hypercall_fault_exhaustion_releases_launch_credit():
     _assert_machine_clean(machine)
 
 
+def test_fatal_launch_is_one_launch_event():
+    """A launch killed by a fatal hypercall fault is a launch event like
+    its span: KLO is the span's duration, and the next launch's LQT runs
+    from its end."""
+    config = _cc(_schedule(HYPERCALL, upto=4))
+    assert config.retry.max_attempts == 4
+
+    def app(rt):
+        kernel = nanosleep_kernel(units.us(10))
+        try:
+            yield from rt.launch(kernel)
+        except FatalFault:
+            pass
+        yield from rt.launch(kernel)
+        yield from rt.synchronize()
+
+    machine = Machine(config)
+    machine.run(app)
+    assert machine.guest.faults.fatal.get(HYPERCALL) == 1
+    spans = [s for s in machine.trace.spans if s.name == "cudaLaunchKernel"]
+    launches = machine.trace.launches()
+    assert len(launches) == len(spans) == 2
+    failed, after = launches
+    assert failed.duration_ns == spans[0].duration_ns > 0
+    assert after.queue_ns == spans[1].start_ns - spans[0].end_ns > 0
+    _assert_machine_clean(machine)
+
+
+def test_queue_depth_gauge_tracks_kernels_failed_behind_a_copy():
+    """Kernels failed behind a fatal async copy release their launch
+    credits, and ``launch.queue_depth`` samples each release."""
+    plan = _schedule(DMA, upto=8)
+
+    def app(rt):
+        dev = yield from rt.malloc(256 * units.KiB)
+        host = yield from rt.malloc_host(256 * units.KiB)
+        stream = rt.create_stream()
+        try:
+            yield from rt.memcpy_async(dev, host, stream)
+            for _ in range(3):
+                yield from rt.launch(
+                    nanosleep_kernel(units.us(10)), stream=stream
+                )
+            yield from rt.stream_synchronize(stream)
+        finally:
+            rt.reclaim(dev)
+            rt.reclaim(host)
+
+    machine = Machine(SystemConfig.base().replace(faults=plan))
+    with pytest.raises(FatalFault):
+        machine.run(app)
+    assert not machine.trace.kernels()
+    depth = machine.guest.metrics.gauge("launch.queue_depth")
+    assert max(v for _, v in depth.series) == 3
+    assert depth.value == machine.gpu.launch_credits.in_use == 0
+    _assert_machine_clean(machine)
+
+
 def test_async_copy_fatal_fault_surfaces_at_synchronize():
     plan = _schedule(DMA, upto=8)
 
@@ -364,6 +423,9 @@ def test_async_copy_fatal_fault_surfaces_at_synchronize():
     with pytest.raises(FatalFault) as excinfo:
         machine.run(app)
     assert excinfo.value.site == DMA
+    # The synchronize that raised is a sync event, as it is a span.
+    (sync,) = machine.trace.of_kind(EventKind.SYNC)
+    assert sync.duration_ns > 0
     _assert_machine_clean(machine)
 
 

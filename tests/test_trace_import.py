@@ -7,8 +7,10 @@ import pytest
 from repro.config import CopyKind, SystemConfig
 from repro.core import decompose, launch_metrics, kernel_metrics
 from repro.cuda import run_app
+from repro.faults import GCM_TAG, HYPERCALL, FaultPlan, SiteFaults
 from repro.gpu import nanosleep_kernel
 from repro.profiler import (
+    EventKind,
     Trace,
     TraceImportError,
     from_chrome_trace,
@@ -61,13 +63,34 @@ def test_memcpy_enums_revived():
     assert copy.attrs["copy_kind"] is CopyKind.H2D
 
 
-def test_roundtrip_is_byte_identical():
-    """Export -> import -> export reproduces the same bytes, both modes."""
-    for config in (SystemConfig.base(), SystemConfig.confidential()):
-        trace, _ = run_app(_app, config, label="rt")
-        text = trace.to_chrome_trace()
-        again = from_chrome_trace(text).to_chrome_trace()
-        assert again == text
+# Two hypercall retries and one GCM-tag retry: recovery spans nested
+# under a launch and a copy.
+_FAULTED_CC = SystemConfig.confidential().replace(
+    faults=FaultPlan.from_mapping({
+        HYPERCALL: SiteFaults(schedule=(0, 1)),
+        GCM_TAG: SiteFaults(schedule=(0,)),
+    })
+)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(SystemConfig.base(), id="base"),
+    pytest.param(SystemConfig.confidential(), id="cc"),
+    pytest.param(_FAULTED_CC, id="cc-faults"),
+])
+def test_roundtrip_is_byte_identical(config):
+    """Export -> import -> export reproduces the same bytes.  The clone
+    holds each API call and recovery once: as the imported row, not
+    again as an event derived from the imported span."""
+    trace, _ = run_app(_app, config, label="rt")
+    text = trace.to_chrome_trace()
+    clone = from_chrome_trace(text)
+    assert clone.to_chrome_trace() == text
+    assert len(trace.recoveries()) == (3 if config.faults.active else 0)
+    assert clone.launches() == trace.launches()
+    assert clone.recoveries() == trace.recoveries()
+    for kind in (EventKind.SYNC, EventKind.ALLOC, EventKind.FREE):
+        assert clone.of_kind(kind) == trace.of_kind(kind)
 
 
 def test_roundtrip_preserves_recovery_queue_and_stream():
@@ -177,6 +200,7 @@ def test_from_rows_minimal():
         ]
     )
     assert len(trace) == 3
+    assert [e.name for e in trace.launches()] == ["k"]
     assert trace.kernels()[0].queue_ns == 3_000
     # The model runs on row-imported traces too.
     model = decompose(trace)
