@@ -523,8 +523,8 @@ class CudaRuntime:
                 first=first,
             ):
                 if first:
-                    self._seen_kernels.add(kernel.name)
                     yield from self._first_launch_setup(kernel)
+                    self._seen_kernels.add(kernel.name)
                 base = self.guest.jitter(
                     launch_cfg.klo_base_ns, launch_cfg.jitter_sigma
                 )

@@ -22,7 +22,7 @@ from typing import Deque, Dict, Generator, List, Optional, Tuple
 from ..config import CopyKind, MemoryKind, SystemConfig
 from ..faults import DMA, FatalFault, FaultError
 from ..mem import ExtentAllocator
-from ..profiler import kernel_event, memcpy_event
+from ..profiler import memcpy_event
 from ..sim import Event, Resource, Simulator, Store
 from ..tdx import GuestContext
 from .kernels import KernelSpec
@@ -184,37 +184,27 @@ class GPU:
         inflight = self._gauge("gpu.compute_inflight")
         inflight.set(self.compute.in_use)
         try:
-            exec_start = self.sim.now
-            kqt = exec_start - command.enqueued_ns
-            faulted_pages = 0
-            uvm_used = bool(command.managed_touches)
+            kqt = self.sim.now - command.enqueued_ns
             with self.guest.spans.span(
                 command.kernel.name,
                 "gpu.compute",
                 scope=scope,
                 stream=command.stream,
                 kqt_ns=kqt,
-            ):
-                for handle, touched_bytes in command.managed_touches:
-                    migrated, _elapsed = yield from self.uvm.gpu_touch(
-                        handle, touched_bytes, scope=scope
-                    )
-                    alloc = self.uvm.allocation(handle)
-                    faulted_pages += migrated // max(alloc.chunk_bytes, 1)
+            ) as span:
+                if command.managed_touches:
+                    faulted_pages = 0
+                    for handle, touched_bytes in command.managed_touches:
+                        migrated, _elapsed = yield from self.uvm.gpu_touch(
+                            handle, touched_bytes, scope=scope
+                        )
+                        alloc = self.uvm.allocation(handle)
+                        faulted_pages += migrated // max(alloc.chunk_bytes, 1)
+                    # Present exactly on UVM kernels, even when 0.
+                    span.attrs["faulted_pages"] = faulted_pages
                 yield self.sim.timeout(
                     command.kernel.base_duration_ns(self._gpu_spec, self._cc)
                 )
-            self.trace.add(
-                kernel_event(
-                    command.kernel.name,
-                    exec_start,
-                    self.sim.now - exec_start,
-                    kqt_ns=kqt,
-                    stream=command.stream,
-                    uvm=uvm_used,
-                    faulted_pages=faulted_pages,
-                )
-            )
         finally:
             self.compute.release(slot)
             inflight.set(self.compute.in_use)

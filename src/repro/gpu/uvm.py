@@ -84,7 +84,6 @@ class UVMManager:
         # Statistics
         self.total_faults = 0
         self.total_migrated_bytes = 0
-        self.total_migration_ns = 0
         self.total_evicted_bytes = 0
         self.total_evictions = 0
 
@@ -139,7 +138,6 @@ class UVMManager:
         is the coarsest — and most pessimistic — approximation, which is
         the regime that matters for thrash studies).
         """
-        total_evicted_ns = 0
         while (
             self.resident_bytes + incoming_bytes > self.budget_bytes
         ):
@@ -175,8 +173,6 @@ class UVMManager:
                 scope=scope,
                 bytes=evicted_chunks * victim.chunk_bytes,
             )
-            total_evicted_ns += writeback
-        return total_evicted_ns
 
     def gpu_touch(
         self, handle: int, byte_count: int, scope: str = "cpu"
@@ -234,7 +230,6 @@ class UVMManager:
         migrated = missing * chunk_bytes
         elapsed = self.sim.now - start
         self.total_migrated_bytes += migrated
-        self.total_migration_ns += elapsed
         self.guest.spans.record(
             "uvm.migrate",
             "dma",

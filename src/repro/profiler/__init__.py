@@ -5,15 +5,7 @@ folding."""
 from ..obs import MetricsRegistry, Span, SpanRecorder
 from .analysis import SummaryStats, cdf, cdf_at, ratio_of_means, ratio_of_totals
 from .collector import Trace
-from .events import (
-    EventKind,
-    TraceEvent,
-    kernel_event,
-    launch_event,
-    memcpy_event,
-    recovery_event,
-    sync_event,
-)
+from .events import EventKind, TraceEvent, memcpy_event
 from .flamegraph import (
     FlameNode,
     folded_from_spans,
@@ -47,14 +39,10 @@ __all__ = [
     "from_chrome_trace",
     "from_rows",
     "load_chrome_trace",
-    "kernel_event",
-    "launch_event",
     "memcpy_event",
     "ratio_of_means",
     "ratio_of_totals",
-    "recovery_event",
     "render_ascii",
-    "sync_event",
     "tree_from_spans",
     "validate_chrome_trace",
 ]

@@ -2,13 +2,14 @@
 
 A :class:`Trace` is the full observability record of one run: the flat
 Nsight-style event list, the hierarchical span tree, and the sampled
-metrics registry (see :mod:`repro.obs`).  Each CPU-side CUDA API call
-and each fault recovery is recorded once, as a span; its event is
-derived from that span when the trace is read.  Export produces
-Perfetto-grade Chrome tracing JSON — integer pid/tid with "M"-phase
-process/thread name metadata, one thread track per event category and
-per span layer, and "C"-phase counter tracks — that round-trips
-losslessly (byte-identically) through :mod:`repro.profiler.importers`.
+metrics registry (see :mod:`repro.obs`).  Each CPU-side CUDA API call,
+each GPU kernel and each fault recovery is recorded once, as a span;
+its event is derived from that span when the trace is read.  Export
+produces Perfetto-grade Chrome tracing JSON — integer pid/tid with
+"M"-phase process/thread name metadata, one thread track per event
+category and per span layer, and "C"-phase counter tracks — that
+round-trips losslessly (byte-identically) through
+:mod:`repro.profiler.importers`.
 """
 
 from __future__ import annotations
@@ -59,20 +60,44 @@ API_EVENT_KINDS: Dict[str, EventKind] = {
     **dict.fromkeys(("cudaLaunchKernel", "cudaGraphLaunch"), EventKind.LAUNCH),
 }
 
+# Span layers whose every span derives an event of one kind.
+LAYER_EVENT_KINDS: Dict[str, EventKind] = {
+    "gpu.compute": EventKind.KERNEL,
+    "recovery": EventKind.RECOVERY,
+}
+
+# The span attributes an event is derived from, by span name or, for a
+# layer in LAYER_EVENT_KINDS, by layer; the importer rejects a span
+# that lacks one.
+DERIVED_SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
+    "cudaLaunchKernel": ("kernel", "stream"),
+    "cudaGraphLaunch": ("nodes", "stream"),
+    "gpu.compute": ("stream", "kqt_ns"),
+}
+
 
 def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
-    """The events of the CUDA API calls (:data:`API_EVENT_KINDS`) and
-    fault recoveries (layer ``recovery``) among ``spans``, in record
-    order.  A launch's LQT is the gap since the previous launch span
-    ended (Sec. V), 0 for the first launch.
+    """The events of the CUDA API calls (:data:`API_EVENT_KINDS`),
+    kernels (layer ``gpu.compute``) and fault recoveries (layer
+    ``recovery``) among ``spans``, in record order.  A launch's LQT is
+    the gap since the previous launch span ended (Sec. V), 0 for the
+    first launch; a kernel's KQT is its span's ``kqt_ns``, and a kernel
+    is UVM exactly when its span carries ``faulted_pages``.
     """
     events = []
     last_launch_end: Optional[int] = None
     for span in spans:
-        kind = API_EVENT_KINDS.get(span.name)
-        if span.layer == "recovery":
-            kind = EventKind.RECOVERY
-        elif kind is None:
+        kind = LAYER_EVENT_KINDS.get(span.layer) or API_EVENT_KINDS.get(span.name)
+        if kind is None:
+            continue
+        if kind is EventKind.KERNEL:
+            attrs = span.attrs
+            pages = attrs.get("faulted_pages")
+            events.append(TraceEvent(
+                kind, span.name, span.start_ns, span.duration_ns,
+                queue_ns=attrs["kqt_ns"], stream=attrs["stream"],
+                attrs={"uvm": pages is not None, "faulted_pages": pages or 0},
+            ))
             continue
         # Alloc, free and recovery spans carry exactly their event's attrs.
         attrs = {} if kind is EventKind.SYNC else dict(span.attrs)
@@ -94,10 +119,13 @@ def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
 class Trace:
     """An ordered collection of trace events for one application run.
 
-    GPU kernels and copies, and imported rows, are recorded with
-    :meth:`add`; the other events are derived from spans
-    (:func:`derive_events`) when :attr:`events` is read, after the run
-    (an open span would derive a zero duration).  A kind with recorded
+    GPU copies and imported rows are recorded with :meth:`add`; the
+    other events are derived from spans (:func:`derive_events`) when
+    :attr:`events` is read, after the run (an open span would derive a
+    zero duration).  No span matches a copy event: a blocking copy's
+    event sits inside ``cudaMemcpy`` and matches none of its stage
+    spans, the ``gpu.copy`` span also covers the DMA retries, and
+    neither carries ``memory`` or ``managed``.  A kind with recorded
     events derives none: an imported trace keeps exactly its rows.
     """
 

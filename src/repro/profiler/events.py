@@ -1,8 +1,9 @@
 """Trace event model — the simulator's Nsight-Systems equivalent.
 
 Every timed activity in the runtime/GPU has one :class:`TraceEvent`;
-CPU-side API calls and fault recoveries derive theirs from spans
-(:func:`repro.profiler.collector.derive_events`).  The vocabulary
+CPU-side API calls, kernels and fault recoveries derive theirs from
+spans (:func:`repro.profiler.collector.derive_events`), and only GPU
+copies are built here (:func:`memcpy_event`).  The vocabulary
 matches the paper's categories: Launch (KLO), Kernel (KET, with queuing
 KQT), Memcpy, Alloc, Free, and Sync.  Queuing times are attached to the
 event they precede (``lqt_ns`` on launches, ``kqt_ns`` on kernels)
@@ -55,45 +56,6 @@ class TraceEvent:
             raise ValueError("queue time must be non-negative")
 
 
-def launch_event(
-    name: str,
-    start_ns: int,
-    duration_ns: int,
-    lqt_ns: int,
-    stream: int,
-    first: bool = False,
-) -> TraceEvent:
-    return TraceEvent(
-        EventKind.LAUNCH,
-        name,
-        start_ns,
-        duration_ns,
-        queue_ns=lqt_ns,
-        stream=stream,
-        attrs={"first": first},
-    )
-
-
-def kernel_event(
-    name: str,
-    start_ns: int,
-    duration_ns: int,
-    kqt_ns: int,
-    stream: int,
-    uvm: bool = False,
-    faulted_pages: int = 0,
-) -> TraceEvent:
-    return TraceEvent(
-        EventKind.KERNEL,
-        name,
-        start_ns,
-        duration_ns,
-        queue_ns=kqt_ns,
-        stream=stream,
-        attrs={"uvm": uvm, "faulted_pages": faulted_pages},
-    )
-
-
 def memcpy_event(
     copy_kind: CopyKind,
     start_ns: int,
@@ -116,30 +78,4 @@ def memcpy_event(
             # Nsight labels CC pinned-copies as "Managed" D2D (Sec. VI-A).
             "managed": managed,
         },
-    )
-
-
-def sync_event(name: str, start_ns: int, duration_ns: int) -> TraceEvent:
-    return TraceEvent(EventKind.SYNC, name, start_ns, duration_ns)
-
-
-def recovery_event(
-    site: str,
-    start_ns: int,
-    duration_ns: int,
-    attempt: int,
-    action: str = "retry",
-) -> TraceEvent:
-    """Time spent recovering from an injected fault at ``site``.
-
-    ``action`` is "retry" (wasted attempt + backoff), "degraded"
-    (chunked-staging slowdown), "re-attest", or "fatal" (the final
-    unrecovered attempt before escalation).
-    """
-    return TraceEvent(
-        EventKind.RECOVERY,
-        f"recover:{site}",
-        start_ns,
-        duration_ns,
-        attrs={"site": site, "attempt": attempt, "action": action},
     )

@@ -24,7 +24,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from ..config import CopyKind, MemoryKind
 from ..obs.spans import Span
-from .collector import HISTOGRAM_ROW_NAME, Trace
+from .collector import DERIVED_SPAN_ATTRS, HISTOGRAM_ROW_NAME, Trace
 from .events import EventKind, TraceEvent
 
 
@@ -81,16 +81,24 @@ def _import_span(trace: Trace, index: int, row: Dict) -> None:
         duration_ns = _ns(row.get("dur", 0.0))
     except (KeyError, TypeError, ValueError) as exc:
         raise TraceImportError(f"traceEvents[{index}]: bad span row") from exc
+    name = str(row.get("name", "span"))
+    attrs = dict(args.get("attrs") or {})
+    needed = DERIVED_SPAN_ATTRS.get(layer) or DERIVED_SPAN_ATTRS.get(name, ())
+    missing = [key for key in needed if key not in attrs]
+    if missing:
+        raise TraceImportError(
+            f"traceEvents[{index}]: {name!r} span lacks attrs {missing}"
+        )
     parent = args.get("parent")
     trace.spans.add(
         Span(
             span_id=span_id,
             parent_id=int(parent) if parent is not None else None,
-            name=str(row.get("name", "span")),
+            name=name,
             layer=layer,
             start_ns=start_ns,
             duration_ns=duration_ns,
-            attrs=dict(args.get("attrs") or {}),
+            attrs=attrs,
         )
     )
 

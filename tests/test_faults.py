@@ -375,6 +375,34 @@ def test_fatal_launch_is_one_launch_event():
     _assert_machine_clean(machine)
 
 
+def test_launch_after_failed_first_launch_loads_the_module():
+    """A fatal fault inside the first launch's module setup leaves the
+    kernel unloaded: the next launch is again first and pays the full
+    setup, converting the module's DMA pages."""
+    config = _cc(_schedule(HYPERCALL, upto=4))
+
+    def app(rt):
+        kernel = nanosleep_kernel(units.us(10))
+        try:
+            yield from rt.launch(kernel)
+        except FatalFault:
+            pass
+        yield from rt.launch(kernel)
+        yield from rt.synchronize()
+
+    machine = Machine(config)
+    machine.run(app)
+    spans = machine.trace.spans
+    failed, retried = [s for s in spans if s.name == "cudaLaunchKernel"]
+    assert failed.attrs["first"] and retried.attrs["first"]
+    children = {s.name for s in spans if s.parent_id == retried.span_id}
+    assert {"cuModuleLoad", "dma_direct_alloc"} <= children
+    assert machine.guest.metrics.counter("tdx.pages_converted").value == (
+        config.launch.first_launch_bounce_pages
+    )
+    _assert_machine_clean(machine)
+
+
 def test_queue_depth_gauge_tracks_kernels_failed_behind_a_copy():
     """Kernels failed behind a fatal async copy release their launch
     credits, and ``launch.queue_depth`` samples each release."""

@@ -11,16 +11,14 @@ from repro.profiler import (
     SummaryStats,
     Span,
     Trace,
+    TraceEvent,
     cdf,
     cdf_at,
     frame_share,
-    kernel_event,
-    launch_event,
     memcpy_event,
     ratio_of_means,
     ratio_of_totals,
     render_ascii,
-    sync_event,
     tree_from_spans,
 )
 
@@ -29,12 +27,12 @@ from repro.profiler import (
 
 
 def test_event_end_and_validation():
-    event = kernel_event("k", 100, 50, kqt_ns=10, stream=0)
+    event = TraceEvent(EventKind.KERNEL, "k", 100, 50, queue_ns=10, stream=0)
     assert event.end_ns == 150
     with pytest.raises(ValueError):
-        kernel_event("k", 0, -1, kqt_ns=0, stream=0)
+        TraceEvent(EventKind.KERNEL, "k", 0, -1, stream=0)
     with pytest.raises(ValueError):
-        launch_event("l", 0, 1, lqt_ns=-1, stream=0)
+        TraceEvent(EventKind.LAUNCH, "l", 0, 1, queue_ns=-1, stream=0)
 
 
 def test_memcpy_event_attrs():
@@ -52,10 +50,12 @@ def test_memcpy_event_attrs():
 
 def _sample_trace():
     trace = Trace(label="sample")
-    trace.add(launch_event("l1", 0, 5, lqt_ns=0, stream=0))
-    trace.add(kernel_event("k1", 10, 100, kqt_ns=5, stream=0))
+    trace.add(TraceEvent(EventKind.LAUNCH, "l1", 0, 5, stream=0,
+                         attrs={"first": False}))
+    trace.add(TraceEvent(EventKind.KERNEL, "k1", 10, 100, queue_ns=5, stream=0,
+                         attrs={"uvm": False, "faulted_pages": 0}))
     trace.add(memcpy_event(CopyKind.D2H, 120, 30, 1024, MemoryKind.PAGEABLE))
-    trace.add(sync_event("sync", 150, 10))
+    trace.add(TraceEvent(EventKind.SYNC, "sync", 150, 10))
     return trace
 
 
@@ -74,8 +74,8 @@ def test_trace_queries():
 
 def test_trace_sorted_by_start():
     trace = Trace()
-    trace.add(kernel_event("late", 100, 10, kqt_ns=0, stream=0))
-    trace.add(kernel_event("early", 0, 10, kqt_ns=0, stream=0))
+    trace.add(TraceEvent(EventKind.KERNEL, "late", 100, 10, stream=0))
+    trace.add(TraceEvent(EventKind.KERNEL, "early", 0, 10, stream=0))
     assert [e.name for e in trace.sorted_by_start()] == ["early", "late"]
 
 

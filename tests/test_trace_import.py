@@ -12,12 +12,11 @@ from repro.gpu import nanosleep_kernel
 from repro.profiler import (
     EventKind,
     Trace,
+    TraceEvent,
     TraceImportError,
     from_chrome_trace,
     from_rows,
-    kernel_event,
     load_chrome_trace,
-    recovery_event,
 )
 from repro import units
 
@@ -73,31 +72,63 @@ _FAULTED_CC = SystemConfig.confidential().replace(
 )
 
 
-@pytest.mark.parametrize("config", [
-    pytest.param(SystemConfig.base(), id="base"),
-    pytest.param(SystemConfig.confidential(), id="cc"),
-    pytest.param(_FAULTED_CC, id="cc-faults"),
+def _uvm_app(rt):
+    """One managed buffer touched by a cold kernel, then a warm one."""
+    buf = yield from rt.malloc_managed(4 * units.MiB)
+    for name in ("cold", "warm"):
+        yield from rt.launch(
+            nanosleep_kernel(units.us(40), name=name),
+            managed_touches=[(buf, 4 * units.MiB)],
+        )
+        yield from rt.synchronize()
+    yield from rt.free(buf)
+
+
+@pytest.mark.parametrize("config, app", [
+    pytest.param(SystemConfig.base(), _app, id="base"),
+    pytest.param(SystemConfig.confidential(), _app, id="cc"),
+    pytest.param(_FAULTED_CC, _app, id="cc-faults"),
+    pytest.param(SystemConfig.confidential(), _uvm_app, id="cc-uvm"),
 ])
-def test_roundtrip_is_byte_identical(config):
+def test_roundtrip_is_byte_identical(config, app):
     """Export -> import -> export reproduces the same bytes.  The clone
-    holds each API call and recovery once: as the imported row, not
-    again as an event derived from the imported span."""
-    trace, _ = run_app(_app, config, label="rt")
+    holds each API call, kernel and recovery once: as the imported row,
+    not again as an event derived from the imported span."""
+    trace, _ = run_app(app, config, label="rt")
     text = trace.to_chrome_trace()
     clone = from_chrome_trace(text)
     assert clone.to_chrome_trace() == text
     assert len(trace.recoveries()) == (3 if config.faults.active else 0)
     assert clone.launches() == trace.launches()
     assert clone.recoveries() == trace.recoveries()
+    assert clone.kernels() == trace.kernels()
     for kind in (EventKind.SYNC, EventKind.ALLOC, EventKind.FREE):
         assert clone.of_kind(kind) == trace.of_kind(kind)
+    # One kernel event per gpu.compute span, its KQT the span's kqt_ns.
+    compute = [s for s in trace.spans if s.layer == "gpu.compute"]
+    assert [
+        (k.name, k.start_ns, k.duration_ns, k.queue_ns, k.stream)
+        for k in trace.kernels()
+    ] == [
+        (s.name, s.start_ns, s.duration_ns, s.attrs["kqt_ns"], s.attrs["stream"])
+        for s in compute
+    ]
+    if app is _uvm_app:
+        cold, warm = trace.kernels()
+        assert cold.attrs["uvm"] and cold.attrs["faulted_pages"] > 0
+        assert warm.attrs == {"uvm": True, "faulted_pages": 0}
+    else:
+        assert all(k.attrs == {"uvm": False, "faulted_pages": 0}
+                   for k in trace.kernels())
 
 
 def test_roundtrip_preserves_recovery_queue_and_stream():
     trace = Trace(label="faulty")
-    trace.add(kernel_event("k", 10, 100, kqt_ns=7, stream=3))
-    trace.add(recovery_event("crypto.gcm_tag", 120, 40, attempt=2,
-                             action="retry"))
+    trace.add(TraceEvent(EventKind.KERNEL, "k", 10, 100, queue_ns=7, stream=3,
+                         attrs={"uvm": False, "faulted_pages": 0}))
+    trace.add(TraceEvent(EventKind.RECOVERY, "recover:crypto.gcm_tag", 120, 40,
+                         attrs={"site": "crypto.gcm_tag", "attempt": 2,
+                                "action": "retry"}))
     clone = from_chrome_trace(trace.to_chrome_trace())
     kernel = clone.kernels()[0]
     assert kernel.queue_ns == 7
@@ -191,6 +222,30 @@ def test_malformed_inputs_rejected():
         ))
 
 
+@pytest.mark.parametrize("index, name, layer", [
+    (0, "cudaLaunchKernel", "driver"),
+    (1, "k", "gpu.compute"),
+])
+def test_span_without_derived_attrs_rejected(index, name, layer):
+    """A span that derives an event must carry the attributes it is
+    derived from, or the import fails naming the row."""
+    rows = [
+        {"ph": "X", "cat": "span", "name": "cudaLaunchKernel", "ts": 0,
+         "dur": 5, "args": {"id": 1, "parent": None, "layer": "driver",
+                            "attrs": {"kernel": "k", "stream": 0}}},
+        {"ph": "X", "cat": "span", "name": "k", "ts": 8, "dur": 100,
+         "args": {"id": 2, "parent": None, "layer": "gpu.compute",
+                  "attrs": {"stream": 0, "kqt_ns": 3000}}},
+    ]
+    assert [e.kind for e in from_chrome_trace(json.dumps(rows)).events] == [
+        EventKind.LAUNCH, EventKind.KERNEL,
+    ]
+    del rows[index]["args"]["attrs"]
+    with pytest.raises(TraceImportError,
+                       match=rf"traceEvents\[{index}\]: '{name}' span"):
+        from_chrome_trace(json.dumps(rows))
+
+
 def test_from_rows_minimal():
     trace = from_rows(
         [
@@ -201,6 +256,7 @@ def test_from_rows_minimal():
     )
     assert len(trace) == 3
     assert [e.name for e in trace.launches()] == ["k"]
+    assert [e.name for e in trace.kernels()] == ["k"]
     assert trace.kernels()[0].queue_ns == 3_000
     # The model runs on row-imported traces too.
     model = decompose(trace)
