@@ -144,7 +144,7 @@ class CudaRuntime:
         num_pages = units.pages(size, self.config.tdx.page_size)
         cost = self.guest.jitter(int(base_ns + per_page * num_pages), 0.05)
         with self.guest.spans.span(api, "driver", bytes=size):
-            yield from self.guest.cpu_work(cost)
+            yield self.guest.cpu_ns(cost)
 
     def malloc(self, size: int) -> Generator:
         """cudaMalloc: device-memory allocation."""
@@ -171,7 +171,7 @@ class CudaRuntime:
 
     def host_alloc(self, size: int) -> Generator:
         """Plain pageable malloc: cheap, not a CUDA API, untraced."""
-        yield from self.guest.cpu_work(units.us(1.0))
+        yield self.guest.cpu_ns(units.us(1.0))
         address = self.guest.memory.alloc(size)
         return HostBuffer(address, size, MemoryKind.PAGEABLE, pinned=False)
 
@@ -197,7 +197,7 @@ class CudaRuntime:
         else:
             # Plain host memory: free() is trivial and untraced.
             self._release(buffer)
-            yield from self.guest.cpu_work(units.ns(600))
+            yield self.guest.cpu_ns(units.ns(600))
             return None
         yield from self._timed_mgmt(which, api, buffer.size)
         self._release(buffer)
@@ -370,15 +370,15 @@ class CudaRuntime:
                     int(plan.total_ns * model.dma_error_detect_fraction)
                     + model.dma_retrain_ns
                 )
-            yield self.sim.timeout(wasted)
+            yield wasted
             if attempt >= retry.max_attempts:
                 guest.record_recovery(fault.site, start, attempt, "fatal", fatal=True)
                 raise FatalCudaFault(fault.site, attempt, fault)
-            yield self.sim.timeout(retry.backoff_ns(attempt))
+            yield retry.backoff_ns(attempt)
             guest.record_recovery(fault.site, start, attempt)
             attempt += 1
         start = self.sim.now
-        yield self.sim.timeout(plan.total_ns)
+        yield plan.total_ns
         self.trace.add(
             memcpy_event(
                 copy_kind,
@@ -404,7 +404,7 @@ class CudaRuntime:
             # Each extra degraded chunk needs its own swiotlb map.
             extra = max(0, chunks - 1) * self.config.hypercall_ns()
             if extra:
-                yield self.sim.timeout(extra)
+                yield extra
             guest.record_recovery(BOUNCE_POOL, degraded_start, 1, "degraded")
 
     def memcpy_async(
@@ -434,7 +434,7 @@ class CudaRuntime:
             copy_kind=copy_kind.value,
             stream=stream.id,
         ):
-            yield from self.guest.cpu_work(units.us(1.2))
+            yield self.guest.cpu_ns(units.us(1.2))
             if plan.cpu_ns:
                 staging_start = self.sim.now
                 cc = self.config.cc_on
@@ -443,7 +443,7 @@ class CudaRuntime:
                     "td" if cc else "driver",
                     **({"crypto": True} if cc else {}),
                 ):
-                    yield from self.guest.cpu_work(plan.cpu_ns)
+                    yield self.guest.cpu_ns(plan.cpu_ns)
                 staging_event = memcpy_event(
                     copy_kind,
                     staging_start,
@@ -476,7 +476,8 @@ class CudaRuntime:
                 awaited=stream.awaited,
                 managed_label=plan.managed_label,
             )
-            yield self.gpu.submit(command)
+            self.gpu.submit(command)
+            yield 0
             stream.tail, stream.awaited = done, None
             self._functional_transfer(dst, src, size)
         return done
@@ -503,7 +504,7 @@ class CudaRuntime:
         kernel.base_duration_ns(self._gpu_spec, self._cc)
         # Application-side loop bookkeeping between launches: lands in
         # the LQT gap, not in KLO.
-        yield from self.guest.cpu_work(launch_cfg.inter_launch_cpu_ns)
+        yield self.guest.cpu_ns(launch_cfg.inter_launch_cpu_ns)
         # Launch-queue credit (backpressure when the queue is full).
         credit = self.gpu.launch_credits.request()
         yield credit
@@ -528,7 +529,7 @@ class CudaRuntime:
                 base = self.guest.jitter(
                     launch_cfg.klo_base_ns, launch_cfg.jitter_sigma
                 )
-                yield from self.guest.cpu_work(base)
+                yield self.guest.cpu_ns(base)
                 if self._cc:
                     yield from self._cc_launch_extra()
         except BaseException:
@@ -550,7 +551,8 @@ class CudaRuntime:
             ],
             credit=credit,
         )
-        yield self.gpu.submit(command)
+        self.gpu.submit(command)
+        yield 0
         stream.tail, stream.awaited = done, None
         return done
 
@@ -568,7 +570,7 @@ class CudaRuntime:
         unroll = kernel.attrs.get("unroll", 1.0)
         extra = int(extra * (1.0 + 0.015 * max(unroll - 1.0, 0.0)))
         with self.guest.spans.span("cuModuleLoad", "driver"):
-            yield from self.guest.cpu_work(extra)
+            yield self.guest.cpu_ns(extra)
         if self.config.cc_on:
             pages = int(
                 kernel.attrs.get(
@@ -584,7 +586,7 @@ class CudaRuntime:
         """Steady-state CC launch tax: packet crypto + rare hypercalls."""
         launch_cfg = self.config.launch
         with self.guest.spans.span("cc_encrypt_pushbuffer", "td", crypto=True):
-            yield from self.guest.cpu_work(launch_cfg.klo_cc_extra_ns)
+            yield self.guest.cpu_ns(launch_cfg.klo_cc_extra_ns)
         self._hypercall_accum += launch_cfg.hypercalls_per_launch
         while self._hypercall_accum >= 1.0:
             self._hypercall_accum -= 1.0
@@ -612,7 +614,7 @@ class CudaRuntime:
 
     def cpu_gap(self, duration_ns: int) -> Generator:
         """Application think time between API calls (loop bookkeeping)."""
-        yield from self.guest.cpu_work(duration_ns)
+        yield self.guest.cpu_ns(duration_ns)
 
     def stream_synchronize(self, stream: Stream) -> Generator:
         with self.guest.spans.span(
@@ -639,7 +641,7 @@ class CudaRuntime:
         overhead = cfg.sync_base_ns
         if self.config.cc_on:
             overhead += cfg.sync_cc_extra_ns
-        yield self.sim.timeout(overhead)
+        yield overhead
 
     # ------------------------------------------------------------------
     # CUDA graphs (Sec. VII-A launch fusion)
@@ -662,7 +664,7 @@ class CudaRuntime:
         with self.guest.spans.span(
             "cudaGraphInstantiate", "driver", nodes=len(kernels)
         ):
-            yield from self.guest.cpu_work(cost)
+            yield self.guest.cpu_ns(cost)
         nodes = []
         for index, kernel in enumerate(kernels):
             touches = (
@@ -687,7 +689,7 @@ class CudaRuntime:
             nodes=graph.num_nodes,
             stream=stream.id,
         ):
-            yield from self.guest.cpu_work(
+            yield self.guest.cpu_ns(
                 self.guest.jitter(cost, cfg.jitter_sigma)
             )
             if self.config.cc_on:
@@ -707,7 +709,8 @@ class CudaRuntime:
                 credit=None,  # graph nodes bypass the launch queue
                 fetch_free=index > 0,  # one fetch for the whole graph
             )
-            yield self.gpu.submit(command)
+            self.gpu.submit(command)
+            yield 0
             stream.tail, stream.awaited = done, None
             last_done = done
         return last_done

@@ -105,9 +105,10 @@ class GPU:
 
     # -- driver-facing API ---------------------------------------------------
 
-    def submit(self, command) -> Event:
-        """Enqueue a command (driver doorbell); returns the put event."""
-        return self.channel.put(command)
+    def submit(self, command) -> None:
+        """Enqueue a command (driver doorbell).  The submitter then
+        yields ``0``, so it resumes after the command processor it woke."""
+        self.channel.put(command)
 
     def copy_engine(self, kind: CopyKind) -> Resource:
         return self._copy_engines[kind]
@@ -127,7 +128,7 @@ class GPU:
         while True:
             command = yield self.channel.get()
             if not command.fetch_free:
-                yield self.sim.timeout(self._fetch_ns)
+                yield self._fetch_ns
             stream = command.stream
             queue = self._queues.get(stream)
             if queue is None:
@@ -202,7 +203,8 @@ class GPU:
                         faulted_pages += migrated // max(alloc.chunk_bytes, 1)
                     # Present exactly on UVM kernels, even when 0.
                     span.attrs["faulted_pages"] = faulted_pages
-                yield self.sim.timeout(
+                # int(): a spec's fixed duration may be a float.
+                yield int(
                     command.kernel.base_duration_ns(self._gpu_spec, self._cc)
                 )
         finally:
@@ -234,7 +236,7 @@ class GPU:
             ):
                 yield from self._dma_with_retry(command, scope)
                 start = self.sim.now
-                yield self.sim.timeout(command.gpu_time_ns)
+                yield command.gpu_time_ns
             self.trace.add(
                 memcpy_event(
                     command.copy_kind,
@@ -277,12 +279,12 @@ class GPU:
                 int(command.gpu_time_ns * model.dma_error_detect_fraction)
                 + model.dma_retrain_ns
             )
-            yield self.sim.timeout(wasted)
+            yield wasted
             if attempt >= retry.max_attempts:
                 self.guest.record_recovery(
                     DMA, start, attempt, "fatal", fatal=True, scope=scope
                 )
                 raise FatalFault(DMA, attempt, fault)
-            yield self.sim.timeout(retry.backoff_ns(attempt))
+            yield retry.backoff_ns(attempt)
             self.guest.record_recovery(DMA, start, attempt, scope=scope)
             attempt += 1

@@ -164,7 +164,7 @@ class UVMManager:
                     evicted_chunks * victim.chunk_bytes,
                     self.config.uvm.migration_bw,
                 )
-            yield self.sim.timeout(max(writeback, 1))
+            yield max(writeback, 1)
             self.guest.spans.record(
                 "uvm.evict",
                 "dma",
@@ -223,9 +223,7 @@ class UVMManager:
         # The batches run back to back with nothing shared in between,
         # so the whole burst is paid with one timeout.
         self.total_faults += batches
-        yield self.sim.timeout(
-            full * batch_ns(chunks_per_batch) + (batch_ns(last) if last else 0)
-        )
+        yield full * batch_ns(chunks_per_batch) + (batch_ns(last) if last else 0)
         alloc.mark_resident(byte_count)
         migrated = missing * chunk_bytes
         elapsed = self.sim.now - start
@@ -258,12 +256,11 @@ class UVMManager:
             # Every chunk pays its own fault round trip and encrypted
             # copy, back to back: one timeout covers them all.
             chunk_ns = self.migration_chunk_time_ns(chunk_bytes)
-            yield self.sim.timeout(moved * (uvm.fault_service_ns + chunk_ns))
+            yield moved * (uvm.fault_service_ns + chunk_ns)
         else:
             total = moved * chunk_bytes
-            yield self.sim.timeout(
-                uvm.fault_service_ns
-                + units.transfer_time_ns(total, uvm.migration_bw)
+            yield uvm.fault_service_ns + units.transfer_time_ns(
+                total, uvm.migration_bw
             )
         elapsed = self.sim.now - start
         self.guest.spans.record(

@@ -92,7 +92,7 @@ def run_ring_all_reduce(
         # Zero-overhead path: no draws, one coalesced timeout.
         total = count * shape.time_ns
         if total > 0:
-            yield sim.timeout(total)
+            yield total
         stats.collectives = count
         stats.payload_bytes = count * steps * chunk
         stats.encrypted_bytes = count * steps * chunk_wire
@@ -115,20 +115,18 @@ def run_ring_all_reduce(
                     if fault is None:
                         break
                     if pending:
-                        yield sim.timeout(pending)
+                        yield pending
                         pending = 0
                     start = sim.now
                     if attempt >= retry.max_attempts:
                         # Wasted transfer surfaces the MAC failure, then
                         # the session gives up: bytes stay unbooked.
-                        yield sim.timeout(step_transfer)
+                        yield step_transfer
                         guest.record_recovery(
                             LINK, start, attempt, "link-fatal", fatal=True
                         )
                         raise FatalFault(LINK, attempt, fault)
-                    yield sim.timeout(
-                        step_transfer + retry.backoff_ns(attempt)
-                    )
+                    yield step_transfer + retry.backoff_ns(attempt)
                     guest.record_recovery(LINK, start, attempt, "link-retrain")
                     stats.retries += 1
                     attempt += 1
@@ -137,7 +135,7 @@ def run_ring_all_reduce(
                 stats.encrypted_bytes += chunk_wire
             stats.collectives += 1
         if pending:
-            yield sim.timeout(pending)
+            yield pending
             pending = 0
     finally:
         if pending:

@@ -108,13 +108,16 @@ class _SpanContext:
         stack = recorder._open.get(self._scope)
         if stack is None:
             stack = recorder._open[self._scope] = []
+        # Positional: a keyword build of the slotted dataclass costs
+        # about twice as much, and this runs once per span.
         span = Span(
-            span_id=next(recorder._ids),
-            parent_id=stack[-1].span_id if stack else None,
-            name=self._name,
-            layer=self._layer,
-            start_ns=recorder._clock(),
-            attrs=self._attrs,
+            next(recorder._ids),
+            stack[-1].span_id if stack else None,
+            self._name,
+            self._layer,
+            recorder._clock(),
+            0,
+            self._attrs,
         )
         recorder.spans.append(span)
         stack.append(span)
@@ -182,13 +185,7 @@ class SpanRecorder:
         else:
             parent_id = parent
         span = Span(
-            span_id=next(self._ids),
-            parent_id=parent_id,
-            name=name,
-            layer=layer,
-            start_ns=start_ns,
-            duration_ns=duration_ns,
-            attrs=attrs,
+            next(self._ids), parent_id, name, layer, start_ns, duration_ns, attrs
         )
         self.spans.append(span)
         return span

@@ -602,7 +602,7 @@ class _Run:
                     raise _EngineCrash(exc.site) from exc
                 self.engine_retries += 1
                 backoff_start = rt.sim.now
-                yield rt.sim.timeout(retry.backoff_ns(attempt))
+                yield retry.backoff_ns(attempt)
                 rt.guest.record_recovery(
                     exc.site, backoff_start, attempt, "engine-retry"
                 )
@@ -615,7 +615,7 @@ class _Run:
         rt = self.rt
         with self.tel.op("reattest", self.resident_ids()):
             restart_start = rt.sim.now
-            yield rt.sim.timeout(rt.config.fault_model.spdm_restart_ns)
+            yield rt.config.fault_model.spdm_restart_ns
             yield from attest_gpu(rt.sim, rt.guest, rt.config)
             rt.guest.record_recovery(SPDM_SITE, restart_start, 1, action)
         self.metrics.counter("serve.reattestations").inc()

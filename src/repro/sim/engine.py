@@ -1,8 +1,20 @@
 """Minimal deterministic discrete-event simulation engine.
 
 The engine is a small generator-coroutine kernel in the style of SimPy:
-processes are Python generators that ``yield`` events (timeouts, other
-processes, resource grants) and are resumed when those events trigger.
+processes are Python generators that ``yield`` what they wait for and
+are resumed when it happens.  A process may yield:
+
+* an ``int`` number of nanoseconds to sleep (``yield 250``).  This is
+  the cheap form of ``yield sim.timeout(250)``: same resume time, same
+  place in the event order, but no event object is built.  A negative
+  delay raises :class:`SimulationError` into the process;
+* any :class:`Event` of the same simulator (a :class:`Timeout`, another
+  :class:`Process`, a resource grant, an :class:`AllOf`).  The process
+  is resumed with its value, or the event's exception is thrown in.
+
+Anything else (a ``bool``, a ``float``, a numpy integer, an event of
+another simulator) raises :class:`SimulationError` into the process,
+which may catch it and go on.
 
 Design constraints driving this implementation:
 
@@ -27,7 +39,8 @@ Design constraints driving this implementation:
 Every event class declares ``__slots__`` and callbacks are stored in a
 single inline slot (``_cb1``) with a rarely-used overflow list
 (``_cbs``): the common case — a bare timeout with one waiting process,
-or none at all — allocates no callback list.
+or none at all — allocates no callback list, and the drain loops call
+that one callback inline.
 """
 
 from __future__ import annotations
@@ -166,10 +179,11 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation.
 
-    Construction is the kernel's hottest path (one per simulated wait),
-    so it bypasses :meth:`Event.__init__`/:meth:`Event.succeed` and
-    writes the slots directly — a bare timeout never allocates any
-    callback storage.
+    For callers that need an event object (:class:`AllOf`, a wait
+    shared by several processes); a process that only sleeps yields a
+    bare ``int`` instead.  Construction bypasses
+    :meth:`Event.__init__`/:meth:`Event.succeed` and writes the slots
+    directly — a timeout never allocates any callback storage.
     """
 
     __slots__ = ()
@@ -189,11 +203,14 @@ class Timeout(Event):
 class Process(Event):
     """A running generator coroutine.
 
-    The process event itself triggers when the generator returns (its
-    value is the generator's return value) or raises.
+    The generator yields an ``int`` delay in nanoseconds or an
+    :class:`Event` of this simulator (see the module docstring); a
+    misuse is thrown into it as a :class:`SimulationError`.  The process
+    event itself triggers when the generator returns (its value is the
+    generator's return value) or raises.
     """
 
-    __slots__ = ("_generator", "_resume_bound")
+    __slots__ = ("_generator", "_resume_bound", "_wake")
 
     def __init__(self, sim: "Simulator", generator: Generator) -> None:
         if not hasattr(generator, "send"):
@@ -205,35 +222,69 @@ class Process(Event):
         resume = self._resume_bound = self._resume
         # Bootstrap: resume once at the current time, through the queue,
         # so process starts interleave deterministically with events
-        # already scheduled for "now".
-        init = Event(sim)
-        init._state = _TRIGGERED
-        init._cb1 = resume
-        sim._schedule(init, 0)
+        # already scheduled for "now".  The same event is then reused
+        # as the wake event of every bare delay: a process waits on one
+        # thing at a time, so it is never queued twice.
+        wake = self._wake = Event(sim)
+        wake._state = _TRIGGERED
+        wake._cb1 = resume
+        sim._schedule(wake, 0)
 
     def _resume(self, event: Event) -> None:
-        try:
-            if event._ok:
-                target = self._generator.send(event._value)
+        # The result of ``throw`` is handled exactly like the result of
+        # ``send``: a process that catches a misuse error may go on
+        # waiting, return or raise, so the loop re-validates its next
+        # target instead of assuming the error ends it.
+        ok = event._ok
+        value = event._value
+        generator = self._generator
+        while True:
+            try:
+                if ok:
+                    target = generator.send(value)
+                else:
+                    target = generator.throw(value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                return
+            except BaseException as exc:
+                self.fail(exc)
+                return
+            if target.__class__ is int:
+                if target >= 0:
+                    # Bare delay: the reusable wake event goes straight
+                    # into its bucket (``Simulator._schedule`` inlined),
+                    # at the point a timeout built just before the yield
+                    # would have been scheduled.
+                    sim = self.sim
+                    wake = self._wake
+                    wake._state = _TRIGGERED
+                    wake._cb1 = self._resume_bound
+                    sim.scheduled += 1
+                    when = sim._now + target
+                    bucket = sim._buckets.get(when)
+                    if bucket is None:
+                        sim._buckets[when] = [wake]
+                        _heappush(sim._times, when)
+                    else:
+                        bucket.append(wake)
+                    return
+                value = SimulationError(f"process yielded negative delay: {target}")
+            elif isinstance(target, Event):
+                if target.sim is self.sim:
+                    # ``add_callback`` inlined for the common case: a
+                    # pending or triggered event nobody waits on yet.
+                    if target._cb1 is None and target._state != _PROCESSED:
+                        target._cb1 = self._resume_bound
+                    else:
+                        target.add_callback(self._resume_bound)
+                    return
+                value = SimulationError(
+                    "process yielded event from another simulator"
+                )
             else:
-                target = self._generator.throw(event._value)
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except BaseException as exc:
-            self.fail(exc)
-            return
-        if not isinstance(target, Event):
-            self._generator.throw(
-                SimulationError(f"process yielded non-event: {target!r}")
-            )
-            return
-        if target.sim is not self.sim:
-            self._generator.throw(
-                SimulationError("process yielded event from another simulator")
-            )
-            return
-        target.add_callback(self._resume_bound)
+                value = SimulationError(f"process yielded non-event: {target!r}")
+            ok = False
 
 
 class AllOf(Event):
@@ -417,11 +468,13 @@ class Simulator:
         until it is processed and return its value; raises if it
         failed).
         """
-        # The two hot drain loops below are `_next()` inlined by hand:
-        # one call frame and a handful of attribute loads per event are
-        # measurable at millions of events.  `times`/`buckets` alias the
-        # live containers (they are never rebound, only mutated), so
-        # events scheduled by a callback are visible to the loop.
+        # The two hot drain loops below are `_next()` inlined by hand,
+        # and so is `Event._process` for the common case of exactly one
+        # callback: one call frame and a handful of attribute loads per
+        # event are measurable at millions of events.  `times`/`buckets`
+        # alias the live containers (they are never rebound, only
+        # mutated), so events scheduled by a callback are visible to the
+        # loop.
         times = self._times
         buckets = self._buckets
         if until is None:
@@ -432,7 +485,14 @@ class Simulator:
                 if cursor < len(bucket):
                     self._cursor = cursor + 1
                     self._now = when
-                    bucket[cursor]._process()
+                    event = bucket[cursor]
+                    callback = event._cb1
+                    if callback is not None and event._cbs is None:
+                        event._cb1 = None
+                        event._state = _PROCESSED
+                        callback(event)
+                    else:
+                        event._process()
                 else:
                     _heappop(times)
                     del buckets[when]
@@ -451,7 +511,14 @@ class Simulator:
             if cursor < len(bucket):
                 self._cursor = cursor + 1
                 self._now = when
-                bucket[cursor]._process()
+                event = bucket[cursor]
+                callback = event._cb1
+                if callback is not None and event._cbs is None:
+                    event._cb1 = None
+                    event._state = _PROCESSED
+                    callback(event)
+                else:
+                    event._process()
             else:
                 _heappop(times)
                 del buckets[when]

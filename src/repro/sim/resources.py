@@ -84,8 +84,9 @@ class Resource:
 class Store:
     """Unbounded FIFO of items with blocking get.
 
-    ``put`` returns an event that triggers at once (the item is always
-    accepted); ``get`` returns an event whose value is the item.
+    ``put`` never blocks (the item is always accepted) and returns
+    nothing; a putter that should run after the getter it woke yields
+    ``0``.  ``get`` returns an event whose value is the item.
     """
 
     __slots__ = ("sim", "_items", "_getters")
@@ -98,12 +99,11 @@ class Store:
     def __len__(self) -> int:
         return len(self._items)
 
-    def put(self, item: Any) -> Event:
+    def put(self, item: Any) -> None:
         if self._getters:
             self._getters.popleft().succeed(item)
         else:
             self._items.append(item)
-        return Event(self.sim).succeed()
 
     def get(self) -> Event:
         event = Event(self.sim)

@@ -6,9 +6,11 @@ world (hypervisor, TDX module, device MMIO) cost a VM exit — and under
 TDX a much more expensive tdx_hypercall through the SEAM-mode TDX
 module (the paper cites a +470 % latency increase [16]).
 
-All timed operations are generator coroutines to be driven by the
-simulation kernel; they record spans (folded into the Fig. 8 flame
-graph) and the per-primitive counters used in overhead breakdowns.
+Timed operations are generator coroutines to be driven by the
+simulation kernel; plain guest CPU time is a duration the caller yields
+(:meth:`GuestContext.cpu_ns`).  They record spans (folded into the
+Fig. 8 flame graph) and the per-primitive counters used in overhead
+breakdowns.
 """
 
 from __future__ import annotations
@@ -104,13 +106,13 @@ class GuestContext:
         factor = float(self.rng.lognormal(mean=0.0, sigma=sigma))
         return max(1, int(base_ns * factor))
 
-    def cpu_work(self, base_ns: int) -> Generator:
-        """Ordinary guest CPU time; TDs pay a small TME-MK/TLB tax."""
-        duration = base_ns
+    def cpu_ns(self, base_ns: int) -> int:
+        """Ordinary guest CPU time, in whole ns; TDs pay a small
+        TME-MK/TLB tax.  A process pays it with
+        ``yield guest.cpu_ns(base_ns)``."""
         if self.cc:
-            duration = int(duration * self.config.cpu.td_compute_tax)
-        yield self.sim.timeout(duration)
-        return duration
+            return int(base_ns * self.config.cpu.td_compute_tax)
+        return int(base_ns)
 
     def hypercall(self, reason: str = "tdx_hypercall") -> Generator:
         """One guest->host transition and back.
@@ -126,17 +128,17 @@ class GuestContext:
             if fault is None:
                 break
             start = self.sim.now
-            yield self.sim.timeout(self.config.fault_model.hypercall_timeout_ns)
+            yield self.config.fault_model.hypercall_timeout_ns
             if attempt >= self.config.retry.max_attempts:
                 self.record_recovery(
                     HYPERCALL, start, attempt, "fatal", fatal=True
                 )
                 raise FatalFault(HYPERCALL, attempt, fault)
-            yield self.sim.timeout(self.config.retry.backoff_ns(attempt))
+            yield self.config.retry.backoff_ns(attempt)
             self.record_recovery(HYPERCALL, start, attempt)
             attempt += 1
         duration = self.config.hypercall_ns()
-        yield self.sim.timeout(duration)
+        yield duration
         start = self.sim.now - duration
         counter = self._hypercalls_counter
         if counter is None:
@@ -177,7 +179,7 @@ class GuestContext:
         per-method call ledgers see only the public entry points.
         """
         duration = pages * self.config.tdx.page_convert_ns
-        yield self.sim.timeout(duration)
+        yield duration
         self.spans.record(
             "set_memory_decrypted",
             "td",
@@ -203,7 +205,7 @@ class GuestContext:
         if not self.cc or size <= 0:
             return 0
         duration = self.crypt_time_ns(size, algorithm)
-        yield self.sim.timeout(duration)
+        yield duration
         self.spans.record(
             "aes_gcm",
             "td",

@@ -205,7 +205,7 @@ class SpdmRequester:
         ):
             # Doorbell + completion are MMIO: hypercall-mediated in a TD.
             yield from self.guest.hypercall("spdm.doorbell")
-            yield self.sim.timeout(pcie_ns + _RESPONDER_NS[request.code])
+            yield pcie_ns + _RESPONDER_NS[request.code]
             self._transcript += request.to_bytes()
             response = responder.handle(request)
             fault = self.guest.faults.draw(SPDM_SITE)
@@ -218,7 +218,7 @@ class SpdmRequester:
                 tampered[-1] ^= 0xFF
                 response = SpdmMessage(response.code, bytes(tampered))
             self._transcript += response.to_bytes()
-            yield from self.guest.cpu_work(units.us(15))  # verify/parse
+            yield self.guest.cpu_ns(units.us(15))  # verify/parse
         self.guest.metrics.counter("spdm.messages").inc()
         return response
 
@@ -335,8 +335,6 @@ def attest_gpu(
             if attempt >= retry.max_attempts:
                 guest.record_recovery(SPDM_SITE, start, attempt, "fatal", fatal=True)
                 raise FatalFault(SPDM_SITE, attempt) from exc
-            yield sim.timeout(
-                config.fault_model.spdm_restart_ns + retry.backoff_ns(attempt)
-            )
+            yield config.fault_model.spdm_restart_ns + retry.backoff_ns(attempt)
             guest.record_recovery(SPDM_SITE, start, attempt, "re-attest")
             attempt += 1

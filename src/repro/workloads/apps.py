@@ -38,7 +38,7 @@ class AppInfo:
             raise ValueError(f"{self.name} has no UVM variant")
 
         def bound(rt: CudaRuntime) -> Generator:
-            return (yield from self.builder(rt, uvm))
+            return self.builder(rt, uvm)
 
         bound.__name__ = f"{self.name}{'_uvm' if uvm else ''}"
         return bound
@@ -92,7 +92,7 @@ def _launch(
     uvm: bool,
     managed: Sequence[Tuple[object, int]] = (),
 ) -> Generator:
-    yield from rt.launch(kernel, managed_touches=managed if uvm else ())
+    return rt.launch(kernel, managed_touches=managed if uvm else ())
 
 
 def _touch_all(buffers) -> List[Tuple[object, int]]:

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import numpy
 import pytest
 
 from repro.sim import (
@@ -220,7 +221,8 @@ def test_store_put_get_fifo():
 
     def producer():
         for item in (1, 2, 3):
-            yield store.put(item)
+            store.put(item)
+            yield 0
             yield sim.timeout(1)
 
     def consumer():
@@ -245,7 +247,8 @@ def test_store_get_blocks_until_put():
 
     def producer():
         yield sim.timeout(25)
-        yield store.put("late")
+        store.put("late")
+        yield 0
 
     sim.process(consumer())
     sim.process(producer())
@@ -254,11 +257,87 @@ def test_store_get_blocks_until_put():
 
 
 def test_yielding_non_event_raises():
+    # Only an exact ``int`` is a delay: a bool, a float or a numpy
+    # integer is still a misuse, thrown into the process.
+    for target in ("soon", 1.5, True, numpy.int64(3)):
+        sim = Simulator()
+
+        def proc():
+            yield target
+
+        p = sim.process(proc())
+        with pytest.raises(SimulationError, match="yielded non-event"):
+            sim.run(until=p)
+
+
+def test_yielding_int_sleeps_like_a_timeout():
+    sim = Simulator()
+    log = []
+
+    def proc():
+        value = yield 7
+        log.append((sim.now, value))
+        yield 0
+        log.append((sim.now, "again"))
+
+    sim.run(until=sim.process(proc()))
+    assert log == [(7, None), (7, "again")]
+    # Bootstrap, one wake per delay and the process's completion: the
+    # count two timeouts would give.
+    assert sim.scheduled == 4
+
+
+def test_yielding_negative_delay_raises():
     sim = Simulator()
 
     def proc():
-        yield 42
+        yield -1
 
     p = sim.process(proc())
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError, match="negative delay"):
         sim.run(until=p)
+    assert sim.now == 0
+
+
+def test_process_that_catches_misuse_keeps_waiting():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield "soon"
+        except SimulationError:
+            pass
+        yield sim.timeout(5)
+        yield 3
+        return sim.now
+
+    assert sim.run(until=sim.process(proc())) == 8
+
+
+def test_process_that_catches_misuse_can_return():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield -4
+        except SimulationError:
+            return "recovered"
+
+    p = sim.process(proc())
+    assert sim.run(until=p) == "recovered"
+    assert p.ok
+
+
+def test_process_that_reraises_misuse_fails():
+    sim = Simulator()
+
+    def proc():
+        try:
+            yield 2.5
+        except SimulationError as exc:
+            raise ValueError("gave up") from exc
+
+    p = sim.process(proc())
+    with pytest.raises(ValueError, match="gave up"):
+        sim.run(until=p)
+    assert not p.ok

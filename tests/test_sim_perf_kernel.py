@@ -11,6 +11,9 @@ replaced.  These tests pin that contract from three directions:
   same-timestamp storms and events that schedule more events when they
   fire — the bucketed queue drains in exactly the order a (time, seq)
   min-heap would.
+* A Hypothesis differential: processes sleeping with a bare
+  ``yield <int>`` resume at the same times, in the same order and with
+  the same event count as the same processes yielding timeouts.
 * Pinned verdict digests for a storm-heavy serving scenario: the
   end-to-end byte-identity gate in miniature.
 """
@@ -24,7 +27,7 @@ from hypothesis import strategies as st
 
 from repro.config import resolve_system_configs
 from repro.serve import ScenarioSpec, run_scenario, verdict_json
-from repro.sim import SimulationError, Simulator
+from repro.sim import Resource, SimulationError, Simulator, Store
 
 # ---------------------------------------------------------------------------
 # Negative-delay validation (succeed/fail must reject before mutating)
@@ -120,6 +123,67 @@ def test_bucketed_queue_matches_reference_heap_order(schedule):
         sim.timeout(delay).add_callback(fire(f"r{index}", children))
     sim.run()
     assert order == expected
+
+
+# ---------------------------------------------------------------------------
+# Property: a bare ``yield <int>`` is a timeout without the event object
+
+# One process is a list of steps: sleep, hold the shared resource for a
+# while, put an item in the shared store, or take one out.  Small delays
+# force same-timestamp collisions between the processes.
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("sleep"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("hold"), st.integers(min_value=0, max_value=3)),
+        st.tuples(st.just("put"), st.integers(min_value=0, max_value=9)),
+        st.tuples(st.just("get"), st.just(0)),
+    ),
+    max_size=8,
+)
+
+
+def _run_processes(programs, bare):
+    """Run ``programs`` sleeping with ``yield d`` (``bare``) or with
+    ``yield sim.timeout(d)``; return the resume log and the event count."""
+    sim = Simulator()
+    slots = Resource(sim, capacity=1)
+    store = Store(sim)
+    log = []
+
+    def sleep(d):
+        return d if bare else sim.timeout(d)
+
+    def proc(index, steps):
+        for step, (op, arg) in enumerate(steps):
+            label = f"p{index}.{step}"
+            if op == "sleep":
+                yield sleep(arg)
+            elif op == "hold":
+                req = slots.request()
+                yield req
+                log.append((sim.now, label + ".granted"))
+                yield sleep(arg)
+                slots.release(req)
+            elif op == "put":
+                store.put(arg)
+                yield sleep(0)
+            else:
+                item = yield store.get()
+                label += f".got{item}"
+            log.append((sim.now, label))
+
+    for index, steps in enumerate(programs):
+        sim.process(proc(index, steps))
+    sim.run()
+    return log, sim.scheduled
+
+
+@settings(max_examples=200, deadline=None)
+@given(programs=st.lists(_STEPS, min_size=1, max_size=4))
+def test_bare_delay_matches_timeout(programs):
+    assert _run_processes(programs, bare=True) == _run_processes(
+        programs, bare=False
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -81,7 +81,8 @@ class StoreMachine(RuleBasedStateMachine):
         self.produced.append(item)
 
         def producer():
-            yield self.store.put(item)
+            self.store.put(item)
+            yield 0
 
         self.sim.process(producer())
 

@@ -48,9 +48,16 @@ def test_cpu_work_td_tax():
     base_sim, cc_sim = Simulator(), Simulator()
     base = GuestContext(base_sim, SystemConfig.base())
     cc = GuestContext(cc_sim, SystemConfig.confidential())
-    run(base.cpu_work(units.us(100)), base_sim)
-    run(cc.cpu_work(units.us(100)), cc_sim)
+
+    def work(guest):
+        yield guest.cpu_ns(units.us(100))
+
+    run(work(base), base_sim)
+    run(work(cc), cc_sim)
     assert cc_sim.now == pytest.approx(base_sim.now * 1.04, rel=0.01)
+    # Whole nanoseconds, so a process can yield the result as a delay.
+    assert type(cc.cpu_ns(units.us(100.5))) is int
+    assert base.cpu_ns(2.9) == 2
 
 
 def test_set_memory_decrypted_timed_and_tracked():
