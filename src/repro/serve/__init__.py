@@ -193,5 +193,7 @@ __all__ = [
     "scenario_verdict",
     "stream_digest",
     "tail_report",
+    "tenant_rng",
     "tenant_rollup",
+    "verdict_json",
 ]

@@ -26,8 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec.runner import CellSpec, GridReport, run_grid
-from ..figures.ext_recovered_serving import cell_figure_id
-from ..optim.passes import PassError, parse_pipeline
+from ..optim.passes import parse_pipeline
 
 #: Canonical family application order — matches the cumulative ladder
 #: in :mod:`repro.figures.ext_recovered_serving` so pipeline ids line

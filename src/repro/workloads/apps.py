@@ -5,21 +5,27 @@ Each app encodes the *operation structure* of the original benchmark —
 allocation sizes, explicit-copy pattern, number and duration of kernel
 launches, synchronization points — which is what determines its CC
 behaviour (launch counts for sc/3dconv/dwt2d are taken from the paper
-directly).  Every app has an optional UVM variant that replaces
-explicit copies with cudaMallocManaged + on-demand migration, used for
-the Fig. 9 KET comparison.
+directly).  Every app has a UVM variant that replaces explicit copies
+with cudaMallocManaged + on-demand migration, used for the Fig. 9 KET
+comparison.
+
+Each ``app_*`` function returns the app's operations as
+:mod:`repro.workloads.spec` data for one variant; :meth:`AppInfo.spec`
+wraps them in a validated :class:`WorkloadSpec`, so the catalogue can
+be inspected (``total_launches``, ``to_json``) without running it and
+every app runs through the one spec executor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Sequence
 
 from .. import units
-from ..cuda import CudaRuntime
-from ..gpu import KernelSpec, elementwise_kernel, gemm_kernel
+from .spec import WorkloadSpec
 
-AppBuilder = Callable[[CudaRuntime, bool], Generator]
+Op = Dict[str, Any]
+KiB, MiB = units.KiB, units.MiB
 
 
 @dataclass(frozen=True)
@@ -28,20 +34,19 @@ class AppInfo:
 
     name: str
     suite: str
-    builder: AppBuilder
-    supports_uvm: bool = True
+    ops: Callable[[bool], List[Op]]
     description: str = ""
+
+    #: Every catalogue app has a UVM variant.
+    supports_uvm: ClassVar[bool] = True
+
+    def spec(self, uvm: bool = False) -> WorkloadSpec:
+        """The explicit-copy (or, with ``uvm``, managed-memory) variant."""
+        return WorkloadSpec(f"{self.name}{'_uvm' if uvm else ''}", self.ops(uvm))
 
     def app(self, uvm: bool = False):
         """Bind to an ``app(rt)`` callable for :func:`repro.cuda.run_app`."""
-        if uvm and not self.supports_uvm:
-            raise ValueError(f"{self.name} has no UVM variant")
-
-        def bound(rt: CudaRuntime) -> Generator:
-            return self.builder(rt, uvm)
-
-        bound.__name__ = f"{self.name}{'_uvm' if uvm else ''}"
-        return bound
+        return self.spec(uvm).app()
 
 
 # ---------------------------------------------------------------------------
@@ -49,54 +54,99 @@ class AppInfo:
 # ---------------------------------------------------------------------------
 
 
-def _alloc_inputs(
-    rt: CudaRuntime, sizes: Sequence[int], uvm: bool, pinned: bool
-) -> Generator:
-    """Allocate one logical array per size and stage it to the GPU.
-
-    Returns (device_or_managed buffers, host buffers or []).  In UVM
-    mode nothing is copied — data migrates on first kernel touch.
-    """
-    if uvm:
-        buffers = []
-        for size in sizes:
-            buf = yield from rt.malloc_managed(size)
-            buffers.append(buf)
-        return buffers, []
-    devs, hosts = [], []
-    for size in sizes:
-        dev = yield from rt.malloc(size)
-        if pinned:
-            host = yield from rt.malloc_host(size)
-        else:
-            host = yield from rt.host_alloc(size)
-        yield from rt.memcpy(dev, host)
-        devs.append(dev)
-        hosts.append(host)
-    return devs, hosts
-
-
-def _teardown(rt: CudaRuntime, buffers, hosts, readback: int = 0) -> Generator:
-    """Copy a result back, then free everything (timed, Fig. 6)."""
-    if readback and buffers and hosts:
-        yield from rt.memcpy(hosts[-1], buffers[-1], min(readback, hosts[-1].size))
-    for buf in buffers:
-        yield from rt.free(buf)
-    for host in hosts:
-        yield from rt.free(host)
-
-
-def _launch(
-    rt: CudaRuntime,
-    kernel: KernelSpec,
+def _app(
+    sizes: Sequence[int],
     uvm: bool,
-    managed: Sequence[Tuple[object, int]] = (),
-) -> Generator:
-    return rt.launch(kernel, managed_touches=managed if uvm else ())
+    body: List[Op],
+    readback: int,
+    pinned: bool = False,
+    flag: bool = False,
+) -> List[Op]:
+    """The common app shape around ``body``.
+
+    Allocates one input array ``a<i>`` per size.  Without UVM each is
+    staged from a host buffer ``h<i>`` (pinned or pageable), and with
+    ``flag`` a 4 KiB pageable ``flag`` buffer for per-iteration host
+    checks follows.  After ``body``, up to ``readback`` bytes of the last
+    array are copied to the last host buffer; then the arrays are freed,
+    then the host buffers.  In UVM mode nothing is copied — data
+    migrates on first kernel touch.
+    """
+    ops: List[Op] = []
+    hosts = []
+    for index, size in enumerate(sizes):
+        if uvm:
+            ops.append({"op": "malloc_managed", "name": f"a{index}", "bytes": size})
+            continue
+        host = "malloc_host" if pinned else "host_alloc"
+        ops += [
+            {"op": "malloc", "name": f"a{index}", "bytes": size},
+            {"op": host, "name": f"h{index}", "bytes": size},
+            {"op": "memcpy", "dst": f"a{index}", "src": f"h{index}"},
+        ]
+        hosts.append((f"h{index}", size))
+    if flag and not uvm:
+        ops.append({"op": "host_alloc", "name": "flag", "bytes": 4 * KiB})
+        hosts.append(("flag", 4 * KiB))
+    ops += body
+    if hosts:
+        last, size = hosts[-1]
+        ops.append({
+            "op": "memcpy", "dst": last, "src": f"a{len(sizes) - 1}",
+            "bytes": min(readback, size),
+        })
+    ops += [{"op": "free", "name": f"a{index}"} for index in range(len(sizes))]
+    ops += [{"op": "free", "name": name} for name, _ in hosts]
+    return ops
 
 
-def _touch_all(buffers) -> List[Tuple[object, int]]:
-    return [(buf, buf.size) for buf in buffers]
+def _touch(sizes: Sequence[int], uvm: bool, first: int = 0) -> List[List]:
+    """Managed touches of arrays ``a<first>``.. in full (none without UVM)."""
+    if not uvm:
+        return []
+    return [[f"a{index}", sizes[index]] for index in range(first, len(sizes))]
+
+
+def _launch_op(
+    name: str, flops: float, mem_bytes: int, touches: Sequence[List], **attrs: Any
+) -> Op:
+    op = {"op": "launch", "kernel": name, "flops": flops, "mem_bytes": mem_bytes}
+    op.update(attrs)
+    if touches:
+        op["touches"] = touches
+    return op
+
+
+def _kernel(
+    name: str,
+    elements: int,
+    flops_per_element: float,
+    bytes_per_element: int,
+    touches: Sequence[List] = (),
+    **attrs: Any,
+) -> Op:
+    """Launch of a :func:`repro.gpu.elementwise_kernel` cost profile."""
+    return _launch_op(
+        name, elements * flops_per_element, elements * bytes_per_element,
+        touches, **attrs,
+    )
+
+
+def _gemm(name: str, n: int, touches: Sequence[List]) -> Op:
+    """Launch of an n x n x n fp32 :func:`repro.gpu.gemm_kernel`."""
+    return _launch_op(name, 2.0 * n * n * n, 3 * n * n * 4, touches)
+
+
+def _poll(uvm: bool, dst: str, src: str) -> Op:
+    """The host's per-iteration wait: a small blocking readback, or a
+    sync in UVM mode."""
+    if uvm:
+        return {"op": "sync"}
+    return {"op": "memcpy", "dst": dst, "src": src, "bytes": 4 * KiB}
+
+
+def _loop(count: int, body: List[Op]) -> Op:
+    return {"op": "loop", "count": count, "body": body}
 
 
 # ---------------------------------------------------------------------------
@@ -104,136 +154,101 @@ def _touch_all(buffers) -> List[Tuple[object, int]]:
 # ---------------------------------------------------------------------------
 
 
-def _poly_gemm_chain(
-    rt: CudaRuntime,
-    uvm: bool,
-    num_gemms: int,
-    n: int,
-    array_bytes: int,
-    num_arrays: int,
-) -> Generator:
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [array_bytes] * num_arrays, uvm, pinned=False
-    )
+def _poly_gemm_chain(uvm: bool, num_gemms: int, num_arrays: int) -> List[Op]:
+    sizes = [4 * MiB] * num_arrays
+    body = []
     for index in range(num_gemms):
-        kernel = gemm_kernel(n, n, n, name=f"mm_kernel{index + 1}")
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=array_bytes)
+        body += [
+            _gemm(f"mm_kernel{index + 1}", 1024, _touch(sizes, uvm)),
+            {"op": "sync"},
+        ]
+    return _app(sizes, uvm, body, readback=4 * MiB)
 
 
-def app_2mm(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_2mm(uvm: bool) -> List[Op]:
     """Polybench 2MM: two dependent GEMMs, sync-separated (the paper's
     minimal-KQT example that CC amplifies, Sec. VI-B)."""
-    yield from _poly_gemm_chain(rt, uvm, 2, 1024, 4 * units.MiB, 5)
+    return _poly_gemm_chain(uvm, 2, 5)
 
 
-def app_3mm(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_3mm(uvm: bool) -> List[Op]:
     """Polybench 3MM: three GEMMs."""
-    yield from _poly_gemm_chain(rt, uvm, 3, 1024, 4 * units.MiB, 7)
+    return _poly_gemm_chain(uvm, 3, 7)
 
 
-def _poly_matvec(rt: CudaRuntime, uvm: bool, name: str) -> Generator:
+def _poly_matvec(uvm: bool, name: str) -> List[Op]:
     n = 4096
-    matrix = n * n * 4
-    vec = n * 4
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [matrix, vec, vec], uvm, pinned=False
-    )
+    sizes = [n * n * 4, n * 4, n * 4]
+    body = []
     for index in range(2):
-        kernel = elementwise_kernel(
-            n * n, flops_per_element=2.0, bytes_per_element=4,
-            name=f"{name}_kernel{index + 1}",
-        )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=vec)
+        body += [
+            _kernel(f"{name}_kernel{index + 1}", n * n, 2.0, 4, _touch(sizes, uvm)),
+            {"op": "sync"},
+        ]
+    return _app(sizes, uvm, body, readback=n * 4)
 
 
-def app_atax(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_atax(uvm: bool) -> List[Op]:
     """Polybench ATAX: A^T(Ax), two short matvec kernels."""
-    yield from _poly_matvec(rt, uvm, "atax")
+    return _poly_matvec(uvm, "atax")
 
 
-def app_bicg(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_bicg(uvm: bool) -> List[Op]:
     """Polybench BiCG: two matvec-style kernels."""
-    yield from _poly_matvec(rt, uvm, "bicg")
+    return _poly_matvec(uvm, "bicg")
 
 
-def app_corr(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_corr(uvm: bool) -> List[Op]:
     """Polybench CORR: mean/std/center/corr kernels (4 launches)."""
     n = 2048
-    data = n * n * 4
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=False)
+    sizes = [n * n * 4] * 2
+    body = []
     for name in ("mean_kernel", "std_kernel", "reduce_kernel", "corr_kernel"):
-        kernel = elementwise_kernel(
-            n * n, flops_per_element=4.0, bytes_per_element=8, name=name
-        )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+        body += [_kernel(name, n * n, 4.0, 8, _touch(sizes, uvm)), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=n * n * 4)
 
 
-def app_gemm(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gemm(uvm: bool) -> List[Op]:
     """Polybench GEMM: one large matmul."""
-    n = 2048
-    data = n * n * 4
-    buffers, hosts = yield from _alloc_inputs(rt, [data] * 3, uvm, pinned=False)
-    yield from _launch(
-        rt, gemm_kernel(n, n, n, name="gemm_kernel"), uvm, _touch_all(buffers)
-    )
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+    sizes = [2048 * 2048 * 4] * 3
+    body = [_gemm("gemm_kernel", 2048, _touch(sizes, uvm)), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=sizes[0])
 
 
-def app_gramschm(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gramschm(uvm: bool) -> List[Op]:
     """Polybench Gram-Schmidt: per-column iteration, 3 kernels each —
     data is GPU-resident across iterations, which is why its UVM CC
     slowdown is only ~1.08x (Sec. VI-B)."""
     n = 512
-    data = n * n * 4
-    columns = 128
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=False)
-    for _ in range(columns):
-        for name in ("gs_kernel1", "gs_kernel2", "gs_kernel3"):
-            kernel = elementwise_kernel(
-                n * 64, flops_per_element=6.0, bytes_per_element=8, name=name
-            )
-            yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+    sizes = [n * n * 4] * 2
+    column = [
+        _kernel(name, n * 64, 6.0, 8, _touch(sizes, uvm))
+        for name in ("gs_kernel1", "gs_kernel2", "gs_kernel3")
+    ]
+    return _app(sizes, uvm, [_loop(128, column + [{"op": "sync"}])], readback=sizes[0])
 
 
-def app_2dconv(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_2dconv(uvm: bool) -> List[Op]:
     """Polybench 2DCONV: single very short stencil over large arrays on
     *pinned* memory — the paper's worst case for CC copies (19.69x)
     and for UVM encrypted paging (164030x KET)."""
-    data = 24 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=True)
-    kernel = elementwise_kernel(
-        data // 4, flops_per_element=9.0, bytes_per_element=8,
-        name="convolution2d_kernel",
-    )
-    yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+    data = 24 * MiB
+    sizes = [data, data]
+    body = [
+        _kernel("convolution2d_kernel", data // 4, 9.0, 8, _touch(sizes, uvm)),
+        {"op": "sync"},
+    ]
+    return _app(sizes, uvm, body, readback=data, pinned=True)
 
 
-def app_3dconv(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_3dconv(uvm: bool) -> List[Op]:
     """Polybench 3DCONV: 254 launches of the same kernel in a loop
     (launch count from Sec. VI-B) — the low-KLR regime of Fig. 10D."""
-    data = 8 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=False)
-    kernel = elementwise_kernel(
-        800_000, flops_per_element=27.0, bytes_per_element=8,
-        name="convolution3d_kernel",
-    )
+    sizes = [8 * MiB] * 2
+    kernel = _kernel("convolution3d_kernel", 800_000, 27.0, 8, _touch(sizes, uvm))
     # Launched back-to-back (no per-slice sync): the pushbuffer fills
     # and LQT backpressure dominates — Fig. 10D's low-KLR regime.
-    for _ in range(254):
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+    return _app(sizes, uvm, [_loop(254, [kernel]), {"op": "sync"}], readback=sizes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -241,72 +256,43 @@ def app_3dconv(rt: CudaRuntime, uvm: bool) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def app_bfs(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_bfs(uvm: bool) -> List[Op]:
     """Rodinia BFS: frontier expansion, level-synchronous, 2 kernels
     per level with strongly varying durations."""
-    graph_bytes = 32 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [graph_bytes, 4 * units.MiB], uvm, pinned=False
-    )
-    levels = 12
+    sizes = [32 * MiB, 4 * MiB]
     frontier = [0.02, 0.08, 0.25, 0.6, 1.0, 0.9, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01]
-    if not uvm:
-        stop_flag = yield from rt.host_alloc(4 * units.KiB)
-    for level in range(levels):
-        work = int(8_000_000 * frontier[level]) + 50_000
-        k1 = elementwise_kernel(
-            work, flops_per_element=2.0, bytes_per_element=12, name="bfs_kernel1"
-        )
-        k2 = elementwise_kernel(
-            work // 4, flops_per_element=1.0, bytes_per_element=8, name="bfs_kernel2"
-        )
-        yield from _launch(rt, k1, uvm, _touch_all(buffers))
-        yield from _launch(rt, k2, uvm, _touch_all(buffers[1:]))
-        # Host checks the continue flag each level (implicit sync).
-        if not uvm:
-            yield from rt.memcpy(stop_flag, buffers[1], 4 * units.KiB)
-        else:
-            yield from rt.synchronize()
-    if not uvm:
-        hosts.append(stop_flag)
-    yield from _teardown(rt, buffers, hosts, readback=4 * units.MiB)
+    body = []
+    for share in frontier:
+        work = int(8_000_000 * share) + 50_000
+        body += [
+            _kernel("bfs_kernel1", work, 2.0, 12, _touch(sizes, uvm)),
+            _kernel("bfs_kernel2", work // 4, 1.0, 8, _touch(sizes, uvm, 1)),
+            # Host checks the continue flag each level (implicit sync).
+            _poll(uvm, "flag", "a1"),
+        ]
+    return _app(sizes, uvm, body, readback=4 * MiB, flag=True)
 
 
-def app_kmeans(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_kmeans(uvm: bool) -> List[Op]:
     """Rodinia kmeans: iterative cluster/swap kernels with a small
     per-iteration D2H readback of membership deltas."""
-    points = 32 * units.MiB
-    centroids = 64 * units.KiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [points, centroids], uvm, pinned=False
-    )
+    sizes = [32 * MiB, 64 * KiB]
+    step = [
+        _kernel("kmeans_cluster", 4_000_000, 8.0, 8, _touch(sizes, uvm)),
+        _kernel("kmeans_swap", 500_000, 2.0, 8, _touch(sizes, uvm, 1)),
+        {"op": "sync"},
+    ]
     if not uvm:
-        delta_host = yield from rt.host_alloc(4 * units.KiB)
-    for _ in range(20):
-        cluster = elementwise_kernel(
-            4_000_000, flops_per_element=8.0, bytes_per_element=8,
-            name="kmeans_cluster",
-        )
-        swap = elementwise_kernel(
-            500_000, flops_per_element=2.0, bytes_per_element=8,
-            name="kmeans_swap",
-        )
-        yield from _launch(rt, cluster, uvm, _touch_all(buffers))
-        yield from _launch(rt, swap, uvm, _touch_all(buffers[1:]))
-        yield from rt.synchronize()
-        if not uvm:
-            yield from rt.memcpy(delta_host, buffers[1], 4 * units.KiB)
-    if not uvm:
-        hosts.append(delta_host)
-    yield from _teardown(rt, buffers, hosts, readback=centroids)
+        step.append({"op": "memcpy", "dst": "flag", "src": "a1", "bytes": 4 * KiB})
+    return _app(sizes, uvm, [_loop(20, step)], readback=64 * KiB, flag=True)
 
 
-def app_dwt2d(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_dwt2d(uvm: bool) -> List[Op]:
     """Rodinia DWT2D: exactly 10 kernel launches (Sec. VI-B) across 4
     distinct kernels — first-launch KLO dominates, giving the paper's
     5.31x CC KLO blowup."""
-    data = 8 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=True)
+    data = 8 * MiB
+    sizes = [data, data]
     names = [
         "c_CopySrcToComponents",
         "fdwt53_kernel",
@@ -319,153 +305,98 @@ def app_dwt2d(rt: CudaRuntime, uvm: bool) -> Generator:
         "rdwt_kernel",
         "rdwt_kernel",
     ]
+    body = []
     for name in names:
         # DWT kernels are heavily templated fat binaries: their modules
         # need far more CC DMA-buffer setup on first launch, which is
         # what makes dwt2d the paper's worst KLO case (5.31x).
-        kernel = elementwise_kernel(
-            data // 8, flops_per_element=4.0, bytes_per_element=8, name=name,
-            module_pages=200,
-        )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+        body += [
+            _kernel(name, data // 8, 4.0, 8, _touch(sizes, uvm), module_pages=200),
+            {"op": "sync"},
+        ]
+    return _app(sizes, uvm, body, readback=data, pinned=True)
 
 
-def app_sc(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_sc(uvm: bool) -> List[Op]:
     """Rodinia streamcluster: 1611 launches (Sec. VI-B) of a short
     pgain kernel — the paper's canonical launch-bound app (Fig. 10C)."""
-    points = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [points, units.MiB], uvm, pinned=False
-    )
-    kernel = elementwise_kernel(
-        120_000, flops_per_element=4.0, bytes_per_element=8,
-        name="kernel_compute_cost",
-    )
+    sizes = [16 * MiB, MiB]
     # Real streamcluster reads back the per-center gain after every
     # pgain launch — each iteration is launch + small blocking D2H.
-    for _ in range(1611):
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers[1:]))
-        if not uvm:
-            yield from rt.memcpy(hosts[1], buffers[1], 4 * units.KiB)
-        else:
-            yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=units.MiB)
+    step = [
+        _kernel("kernel_compute_cost", 120_000, 4.0, 8, _touch(sizes, uvm, 1)),
+        _poll(uvm, "h1", "a1"),
+    ]
+    return _app(sizes, uvm, [_loop(1611, step)], readback=MiB)
 
 
-def app_hotspot(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_hotspot(uvm: bool) -> List[Op]:
     """Rodinia hotspot: iterative stencil, one kernel per step."""
-    grid = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [grid, grid], uvm, pinned=False)
-    kernel = elementwise_kernel(
-        2_000_000, flops_per_element=8.0, bytes_per_element=12,
-        name="calculate_temp",
-    )
-    for _ in range(60):
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=grid)
+    sizes = [16 * MiB] * 2
+    kernel = _kernel("calculate_temp", 2_000_000, 8.0, 12, _touch(sizes, uvm))
+    return _app(sizes, uvm, [_loop(60, [kernel]), {"op": "sync"}], readback=sizes[0])
 
 
-def app_nw(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_nw(uvm: bool) -> List[Op]:
     """Rodinia Needleman-Wunsch: anti-diagonal wavefront, many short
     dependent launches."""
-    data = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=False)
+    sizes = [16 * MiB] * 2
+    body = []
     for index in range(255):
         name = "needle_cuda_shared_1" if index < 128 else "needle_cuda_shared_2"
         work = 20_000 + 400 * (index if index < 128 else 255 - index)
-        kernel = elementwise_kernel(
-            work, flops_per_element=3.0, bytes_per_element=8, name=name
-        )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+        body.append(_kernel(name, work, 3.0, 8, _touch(sizes, uvm)))
+    return _app(sizes, uvm, body + [{"op": "sync"}], readback=sizes[0])
 
 
-def app_gaussian(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gaussian(uvm: bool) -> List[Op]:
     """Rodinia gaussian elimination: 2 launches per row, very short
     kernels — launch-dominated like sc."""
     n = 512
-    data = n * n * 4
-    buffers, hosts = yield from _alloc_inputs(rt, [data, data], uvm, pinned=False)
+    sizes = [n * n * 4] * 2
+    body = []
     for row in range(n):
-        fan1 = elementwise_kernel(
-            n - row, flops_per_element=1.0, bytes_per_element=8, name="Fan1"
-        )
-        fan2 = elementwise_kernel(
-            (n - row) * 8, flops_per_element=2.0, bytes_per_element=8, name="Fan2"
-        )
-        yield from _launch(rt, fan1, uvm, _touch_all(buffers))
-        yield from _launch(rt, fan2, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=data)
+        body += [
+            _kernel("Fan1", n - row, 1.0, 8, _touch(sizes, uvm)),
+            _kernel("Fan2", (n - row) * 8, 2.0, 8, _touch(sizes, uvm)),
+        ]
+    return _app(sizes, uvm, body + [{"op": "sync"}], readback=sizes[0])
 
 
-def app_pathfinder(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_pathfinder(uvm: bool) -> List[Op]:
     """Rodinia pathfinder: few medium kernels."""
-    data = 24 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [data, units.MiB], uvm, pinned=False)
-    kernel = elementwise_kernel(
-        3_000_000, flops_per_element=4.0, bytes_per_element=8,
-        name="dynproc_kernel",
-    )
-    for _ in range(5):
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=units.MiB)
+    sizes = [24 * MiB, MiB]
+    kernel = _kernel("dynproc_kernel", 3_000_000, 4.0, 8, _touch(sizes, uvm))
+    return _app(sizes, uvm, [_loop(5, [kernel, {"op": "sync"}])], readback=MiB)
 
 
-def app_srad(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_srad(uvm: bool) -> List[Op]:
     """Rodinia SRAD: two alternating stencil kernels per iteration over
     a speckle image, plus a per-iteration reduction readback."""
-    image = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [image, image], uvm, pinned=False)
-    if not uvm:
-        stats_host = yield from rt.host_alloc(4 * units.KiB)
-    for _ in range(50):
-        k1 = elementwise_kernel(
-            2_000_000, flops_per_element=12.0, bytes_per_element=10, name="srad_cuda_1"
-        )
-        k2 = elementwise_kernel(
-            2_000_000, flops_per_element=8.0, bytes_per_element=10, name="srad_cuda_2"
-        )
-        yield from _launch(rt, k1, uvm, _touch_all(buffers))
-        yield from _launch(rt, k2, uvm, _touch_all(buffers))
-        if not uvm:
-            yield from rt.memcpy(stats_host, buffers[0], 4 * units.KiB)
-        else:
-            yield from rt.synchronize()
-    if not uvm:
-        hosts.append(stats_host)
-    yield from _teardown(rt, buffers, hosts, readback=image)
+    sizes = [16 * MiB] * 2
+    step = [
+        _kernel("srad_cuda_1", 2_000_000, 12.0, 10, _touch(sizes, uvm)),
+        _kernel("srad_cuda_2", 2_000_000, 8.0, 10, _touch(sizes, uvm)),
+        _poll(uvm, "flag", "a0"),
+    ]
+    return _app(sizes, uvm, [_loop(50, step)], readback=sizes[0], flag=True)
 
 
-def app_backprop(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_backprop(uvm: bool) -> List[Op]:
     """Rodinia backprop: two layered kernels, forward + weight adjust."""
-    weights = 24 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [weights, 4 * units.MiB], uvm, pinned=False
-    )
-    for name, work in (
-        ("bpnn_layerforward_CUDA", 3_000_000),
-        ("bpnn_adjust_weights_cuda", 3_000_000),
-    ):
-        kernel = elementwise_kernel(
-            work, flops_per_element=6.0, bytes_per_element=12, name=name
-        )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=4 * units.MiB)
+    sizes = [24 * MiB, 4 * MiB]
+    body = []
+    for name in ("bpnn_layerforward_CUDA", "bpnn_adjust_weights_cuda"):
+        body += [_kernel(name, 3_000_000, 6.0, 12, _touch(sizes, uvm)), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=4 * MiB)
 
 
-def app_lud(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_lud(uvm: bool) -> List[Op]:
     """Rodinia LUD: blocked LU decomposition — a diagonal/perimeter/
     internal kernel triple per block step with shrinking work."""
-    matrix = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [matrix], uvm, pinned=False)
+    sizes = [16 * MiB]
     steps = 64
+    body = []
     for step in range(steps):
         remaining = steps - step
         for name, work in (
@@ -473,132 +404,84 @@ def app_lud(rt: CudaRuntime, uvm: bool) -> Generator:
             ("lud_perimeter", 60_000 * remaining),
             ("lud_internal", 30_000 * remaining * remaining // steps),
         ):
-            kernel = elementwise_kernel(
-                max(work, 1_000), flops_per_element=2.0, bytes_per_element=8,
-                name=name,
-            )
-            yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=matrix)
+            body.append(_kernel(name, max(work, 1_000), 2.0, 8, _touch(sizes, uvm)))
+    return _app(sizes, uvm, body + [{"op": "sync"}], readback=sizes[0])
 
 
-def app_cfd(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_cfd(uvm: bool) -> List[Op]:
     """Rodinia CFD (euler3d): flux/time-step kernel loop, compute-heavy."""
-    mesh = 48 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [mesh, mesh // 4], uvm, pinned=False)
-    for _ in range(100):
-        flux = elementwise_kernel(
-            4_000_000, flops_per_element=22.0, bytes_per_element=12,
-            name="cuda_compute_flux",
-        )
-        step = elementwise_kernel(
-            1_000_000, flops_per_element=6.0, bytes_per_element=8,
-            name="cuda_time_step",
-        )
-        yield from _launch(rt, flux, uvm, _touch_all(buffers))
-        yield from _launch(rt, step, uvm, _touch_all(buffers[1:]))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=mesh // 4)
+    mesh = 48 * MiB
+    sizes = [mesh, mesh // 4]
+    step = [
+        _kernel("cuda_compute_flux", 4_000_000, 22.0, 12, _touch(sizes, uvm)),
+        _kernel("cuda_time_step", 1_000_000, 6.0, 8, _touch(sizes, uvm, 1)),
+    ]
+    return _app(sizes, uvm, [_loop(100, step), {"op": "sync"}], readback=mesh // 4)
 
 
-def app_lavamd(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_lavamd(uvm: bool) -> List[Op]:
     """Rodinia lavaMD: one large N-body-style kernel, compute-bound."""
-    boxes = 32 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [boxes, boxes // 2], uvm, pinned=False)
-    kernel = elementwise_kernel(
-        6_000_000, flops_per_element=40.0, bytes_per_element=8,
-        name="kernel_gpu_cuda",
-    )
-    yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=boxes // 2)
+    boxes = 32 * MiB
+    sizes = [boxes, boxes // 2]
+    body = [
+        _kernel("kernel_gpu_cuda", 6_000_000, 40.0, 8, _touch(sizes, uvm)),
+        {"op": "sync"},
+    ]
+    return _app(sizes, uvm, body, readback=boxes // 2)
 
 
-def app_particlefilter(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_particlefilter(uvm: bool) -> List[Op]:
     """Rodinia particlefilter: per-frame likelihood/normalize/resample
     kernels with a tiny D2H of the estimate each frame."""
-    particles = 8 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [particles, units.MiB], uvm, pinned=False
-    )
-    if not uvm:
-        estimate = yield from rt.host_alloc(4 * units.KiB)
-    for _ in range(30):
+    sizes = [8 * MiB, MiB]
+    frame = [
+        _kernel(name, work, 5.0, 8, _touch(sizes, uvm))
         for name, work in (
             ("likelihood_kernel", 800_000),
             ("normalize_weights_kernel", 400_000),
             ("find_index_kernel", 600_000),
-        ):
-            kernel = elementwise_kernel(
-                work, flops_per_element=5.0, bytes_per_element=8, name=name
-            )
-            yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        if not uvm:
-            yield from rt.memcpy(estimate, buffers[1], 4 * units.KiB)
-        else:
-            yield from rt.synchronize()
-    if not uvm:
-        hosts.append(estimate)
-    yield from _teardown(rt, buffers, hosts, readback=units.MiB)
-
-
-def app_mvt(rt: CudaRuntime, uvm: bool) -> Generator:
-    """Polybench MVT: two independent matvec kernels."""
-    matrix = 64 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [matrix], uvm, pinned=False)
-    for index in range(2):
-        kernel = elementwise_kernel(
-            4096 * 4096, flops_per_element=2.0, bytes_per_element=4,
-            name=f"mvt_kernel{index + 1}",
         )
-        yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=64 * units.KiB)
+    ]
+    frame.append(_poll(uvm, "flag", "a1"))
+    return _app(sizes, uvm, [_loop(30, frame)], readback=MiB, flag=True)
 
 
-def app_syrk(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_mvt(uvm: bool) -> List[Op]:
+    """Polybench MVT: two independent matvec kernels."""
+    sizes = [64 * MiB]
+    body = []
+    for index in range(2):
+        name = f"mvt_kernel{index + 1}"
+        body += [_kernel(name, 4096 * 4096, 2.0, 4, _touch(sizes, uvm)), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=64 * KiB)
+
+
+def app_syrk(uvm: bool) -> List[Op]:
     """Polybench SYRK: one rank-k update kernel."""
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [16 * units.MiB, 16 * units.MiB], uvm, pinned=False
-    )
-    yield from _launch(
-        rt, gemm_kernel(2048, 2048, 2048, name="syrk_kernel"),
-        uvm, _touch_all(buffers),
-    )
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=16 * units.MiB)
+    sizes = [16 * MiB] * 2
+    body = [_gemm("syrk_kernel", 2048, _touch(sizes, uvm)), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=16 * MiB)
 
 
-def app_fdtd2d(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_fdtd2d(uvm: bool) -> List[Op]:
     """Polybench FDTD-2D: three field-update kernels per time step."""
-    field = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [field, field, field], uvm, pinned=False
-    )
-    for _ in range(60):
-        for name in ("fdtd_step1_kernel", "fdtd_step2_kernel", "fdtd_step3_kernel"):
-            kernel = elementwise_kernel(
-                2_000_000, flops_per_element=4.0, bytes_per_element=12, name=name
-            )
-            yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=field)
+    sizes = [16 * MiB] * 3
+    step = [
+        _kernel(name, 2_000_000, 4.0, 12, _touch(sizes, uvm))
+        for name in ("fdtd_step1_kernel", "fdtd_step2_kernel", "fdtd_step3_kernel")
+    ]
+    return _app(sizes, uvm, [_loop(60, step), {"op": "sync"}], readback=sizes[0])
 
 
-def app_adi(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_adi(uvm: bool) -> List[Op]:
     """Polybench ADI: alternating-direction sweeps, 6 kernels per step."""
-    grid = 16 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(rt, [grid, grid], uvm, pinned=False)
-    for _ in range(30):
-        for axis in ("col", "row"):
-            for phase in (1, 2, 3):
-                kernel = elementwise_kernel(
-                    1_500_000, flops_per_element=5.0, bytes_per_element=10,
-                    name=f"adi_{axis}_kernel{phase}",
-                )
-                yield from _launch(rt, kernel, uvm, _touch_all(buffers))
-        yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=grid)
+    sizes = [16 * MiB] * 2
+    step = [
+        _kernel(f"adi_{axis}_kernel{phase}", 1_500_000, 5.0, 10, _touch(sizes, uvm))
+        for axis in ("col", "row")
+        for phase in (1, 2, 3)
+    ]
+    return _app(sizes, uvm, [_loop(30, step + [{"op": "sync"}])], readback=sizes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -606,88 +489,68 @@ def app_adi(rt: CudaRuntime, uvm: bool) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def app_cnn(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_cnn(uvm: bool) -> List[Op]:
     """UVMBench CNN inference: weights staged once, activations flow
     device-to-device between layers — D2D dominates, so its CC copy
     slowdown is the catalogue minimum (paper: 1.17x)."""
-    weights = 256 * units.KiB
-    activation = 96 * units.MiB
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [weights, 128 * units.KiB], uvm, pinned=False
-    )
-    act_a = yield from rt.malloc(activation)
-    act_b = yield from rt.malloc(activation)
-    for layer in range(8):
-        conv = elementwise_kernel(
-            2_000_000, flops_per_element=18.0, bytes_per_element=4,
-            name=f"conv_layer",
-        )
-        relu = elementwise_kernel(
-            1_000_000, flops_per_element=1.0, bytes_per_element=8, name="relu"
-        )
-        yield from _launch(rt, conv, uvm, _touch_all(buffers))
-        yield from _launch(rt, relu, uvm, ())
-        yield from rt.synchronize()
-        src, dst = (act_a, act_b) if layer % 2 == 0 else (act_b, act_a)
-        yield from rt.memcpy(dst, src)
-    yield from rt.free(act_a)
-    yield from rt.free(act_b)
-    yield from _teardown(rt, buffers, hosts, readback=4 * units.KiB)
+    sizes = [256 * KiB, 128 * KiB]
+    layer = [
+        _kernel("conv_layer", 2_000_000, 18.0, 4, _touch(sizes, uvm)),
+        _kernel("relu", 1_000_000, 1.0, 8),
+        {"op": "sync"},
+    ]
+    # Eight layers; the activation ping-pongs between act_a and act_b.
+    layer_pair = layer + [{"op": "memcpy", "dst": "act_b", "src": "act_a"}]
+    layer_pair += layer + [{"op": "memcpy", "dst": "act_a", "src": "act_b"}]
+    body = [
+        {"op": "malloc", "name": "act_a", "bytes": 96 * MiB},
+        {"op": "malloc", "name": "act_b", "bytes": 96 * MiB},
+        _loop(4, layer_pair),
+        {"op": "free", "name": "act_a"},
+        {"op": "free", "name": "act_b"},
+    ]
+    return _app(sizes, uvm, body, readback=4 * KiB)
 
 
 def _graph_app(
-    rt: CudaRuntime,
-    uvm: bool,
-    name: str,
-    iterations: int,
-    work_per_iter: int,
-    graph_bytes: int,
-) -> Generator:
-    buffers, hosts = yield from _alloc_inputs(
-        rt, [graph_bytes, graph_bytes // 8], uvm, pinned=False
-    )
+    uvm: bool, name: str, iterations: int, work_per_iter: int, graph_bytes: int
+) -> List[Op]:
+    sizes = [graph_bytes, graph_bytes // 8]
     # Iterations chain entirely on-device (vertex state ping-pongs in
     # HBM), so launches go back-to-back and long kernels hide them —
     # the high-KLR regime of Fig. 10A.
-    for _ in range(iterations):
-        gather = elementwise_kernel(
-            work_per_iter, flops_per_element=3.0, bytes_per_element=16,
-            name=f"{name}_gather",
-        )
-        apply_k = elementwise_kernel(
-            work_per_iter // 8, flops_per_element=2.0, bytes_per_element=8,
-            name=f"{name}_apply",
-        )
-        yield from _launch(rt, gather, uvm, _touch_all(buffers))
-        yield from _launch(rt, apply_k, uvm, _touch_all(buffers[1:]))
-    yield from rt.synchronize()
-    yield from _teardown(rt, buffers, hosts, readback=graph_bytes // 8)
+    step = [
+        _kernel(f"{name}_gather", work_per_iter, 3.0, 16, _touch(sizes, uvm)),
+        _kernel(f"{name}_apply", work_per_iter // 8, 2.0, 8, _touch(sizes, uvm, 1)),
+    ]
+    body = [_loop(iterations, step), {"op": "sync"}]
+    return _app(sizes, uvm, body, readback=sizes[1])
 
 
-def app_gb_bfs(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gb_bfs(uvm: bool) -> List[Op]:
     """GraphBIG BFS: long, diverse kernels hide launch costs
     (Fig. 10A's high-KLR regime)."""
-    yield from _graph_app(rt, uvm, "gb_bfs", 15, 12_000_000, 48 * units.MiB)
+    return _graph_app(uvm, "gb_bfs", 15, 12_000_000, 48 * MiB)
 
 
-def app_gb_sssp(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gb_sssp(uvm: bool) -> List[Op]:
     """GraphBIG SSSP."""
-    yield from _graph_app(rt, uvm, "gb_sssp", 25, 8_000_000, 48 * units.MiB)
+    return _graph_app(uvm, "gb_sssp", 25, 8_000_000, 48 * MiB)
 
 
-def app_gb_pagerank(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_gb_pagerank(uvm: bool) -> List[Op]:
     """GraphBIG PageRank: fixed iteration count, medium kernels."""
-    yield from _graph_app(rt, uvm, "gb_pagerank", 50, 6_000_000, 48 * units.MiB)
+    return _graph_app(uvm, "gb_pagerank", 50, 6_000_000, 48 * MiB)
 
 
-def app_tigr_bfs(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_tigr_bfs(uvm: bool) -> List[Op]:
     """Tigr BFS on a transformed (degree-balanced) graph."""
-    yield from _graph_app(rt, uvm, "tigr_bfs", 30, 5_000_000, 32 * units.MiB)
+    return _graph_app(uvm, "tigr_bfs", 30, 5_000_000, 32 * MiB)
 
 
-def app_tigr_sssp(rt: CudaRuntime, uvm: bool) -> Generator:
+def app_tigr_sssp(uvm: bool) -> List[Op]:
     """Tigr SSSP."""
-    yield from _graph_app(rt, uvm, "tigr_sssp", 40, 4_000_000, 32 * units.MiB)
+    return _graph_app(uvm, "tigr_sssp", 40, 4_000_000, 32 * MiB)
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,120 @@ def test_leaked_buffers_auto_freed():
             ],
             "touches entries",
         ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "launch", "kernel": "k", "duration_us": 1,
+                 "touches": [["A", 1024]]},
+            ],
+            "touches entries",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "free", "name": "A"},
+                {"op": "free", "name": "A"},
+            ],
+            r"ops\[2\]: free of unknown buffer 'A'",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "host_alloc", "name": "hA", "bytes": 1024},
+                {"op": "free", "name": "A"},
+                {"op": "memcpy", "dst": "hA", "src": "A"},
+            ],
+            r"ops\[3\]: memcpy src 'A' not allocated",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "loop", "count": 2, "body": [{"op": "free", "name": "A"}]},
+            ],
+            r"ops\[1\]\.body\[0\]: free of unknown buffer",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "loop", "count": 3,
+                 "body": [{"op": "malloc", "name": "A", "bytes": 1024}]},
+            ],
+            r"ops\[1\]\.body\[0\]: malloc of live buffer 'A'",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "host_alloc", "name": "hA", "bytes": 1024},
+                {"op": "memcpy", "dst": "A", "src": "hA", "bytes": "big"},
+            ],
+            r"ops\[2\]: memcpy bytes must be a positive int",
+        ),
+        (
+            [
+                {"op": "malloc", "name": "A", "bytes": 1024},
+                {"op": "host_alloc", "name": "hA", "bytes": 4096},
+                {"op": "memcpy", "dst": "hA", "src": "A", "bytes": 2048},
+            ],
+            r"ops\[2\]: memcpy bytes exceed a buffer",
+        ),
+        (
+            [{"op": "launch", "kernel": "k", "flops": -1e9}],
+            r"ops\[0\]: launch flops must be non-negative",
+        ),
+        (
+            [{"op": "launch", "kernel": "k", "mem_bytes": "1MB"}],
+            r"ops\[0\]: launch mem_bytes must be non-negative",
+        ),
+        (
+            [{"op": "launch", "kernel": "k", "flops": 1e9, "module_pages": 0}],
+            r"ops\[0\]: launch module_pages must be a positive int",
+        ),
     ],
 )
 def test_validation_errors(bad_ops, match):
     with pytest.raises(SpecError, match=match):
         WorkloadSpec("bad", bad_ops)
+
+
+def test_loop_that_frees_and_reallocates_is_valid():
+    spec = WorkloadSpec(
+        "realloc",
+        [
+            {"op": "malloc", "name": "A", "bytes": MiB},
+            {
+                "op": "loop",
+                "count": 3,
+                "body": [
+                    {"op": "free", "name": "A"},
+                    {"op": "malloc", "name": "A", "bytes": MiB},
+                ],
+            },
+            {"op": "loop", "count": 0, "body": [{"op": "free", "name": "A"}]},
+            {"op": "free", "name": "A"},
+        ],
+    )
+    machine = Machine(SystemConfig.base())
+    machine.run(spec.app())
+    assert machine.gpu.hbm.used_bytes == 0
+
+
+def test_module_pages_sets_the_first_launch_page_count():
+    spec = WorkloadSpec(
+        "fat-module",
+        [
+            {"op": "launch", "kernel": "k", "flops": 1e6, "mem_bytes": 1000,
+             "module_pages": 200},
+            {"op": "sync"},
+        ],
+    )
+    machine = Machine(SystemConfig.confidential())
+    machine.run(spec.app())
+    pages = [
+        span.attrs["pages"]
+        for span in machine.guest.spans
+        if span.name == "dma_direct_alloc"
+    ]
+    assert pages == [200]
 
 
 def test_bad_json_rejected():

@@ -4,13 +4,15 @@ import pytest
 
 from repro import units
 from repro.config import CopyKind, SystemConfig
-from repro.cuda import run_app
+from repro.cuda import FatalCudaFault, Machine, run_app
+from repro.faults import DMA, FaultPlan, SiteFaults
 from repro.workloads import (
     CATALOG,
     FIG5_APPS,
     FIG7_APPS,
     FIG9_APPS,
     FIG10_APPS,
+    WorkloadSpec,
     bandwidth_sweep,
     fusion_sweep,
     launch_sequence,
@@ -42,6 +44,25 @@ def test_paper_launch_counts():
         assert len(trace.launches()) == expected, name
 
 
+@pytest.mark.parametrize("uvm", [False, True])
+def test_catalogue_launch_counts_are_static(uvm):
+    """The counts the paper or the catalogue description states, read
+    off the specs without simulating them."""
+    expectations = {
+        "sc": 1611, "3dconv": 254, "dwt2d": 10, "gaussian": 1024, "lud": 192,
+    }
+    for name, expected in expectations.items():
+        assert CATALOG[name].spec(uvm).total_launches() == expected, name
+
+
+def test_catalogue_specs_roundtrip_through_json():
+    for name, info in CATALOG.items():
+        for uvm in (False, True):
+            spec = info.spec(uvm)
+            clone = WorkloadSpec.from_json(spec.to_json())
+            assert (clone.name, clone.ops) == (spec.name, spec.ops), name
+
+
 def test_every_app_runs_in_both_modes():
     for name, info in CATALOG.items():
         for config in (SystemConfig.base(), SystemConfig.confidential()):
@@ -63,10 +84,17 @@ def test_uvm_variant_has_no_explicit_copies():
 
 
 def test_apps_leave_no_leaks():
-    from repro.cuda import Machine
-
     machine = Machine(SystemConfig.confidential())
     machine.run(CATALOG["2mm"].app(False))
+    assert machine.gpu.hbm.used_bytes == 0
+    assert machine.guest.memory.heap.used_bytes == 0
+
+
+def test_apps_leave_no_leaks_after_a_fatal_fault():
+    plan = FaultPlan(((DMA, SiteFaults(rate=1.0)),))
+    machine = Machine(SystemConfig.base(seed=42).replace(faults=plan))
+    with pytest.raises(FatalCudaFault):
+        machine.run(CATALOG["2mm"].app(False))
     assert machine.gpu.hbm.used_bytes == 0
     assert machine.guest.memory.heap.used_bytes == 0
 
