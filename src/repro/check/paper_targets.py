@@ -292,7 +292,7 @@ TARGETS: Dict[str, Dict[str, PaperTarget]] = {
     },
     "ext_recovered_serving": {
         # Mitigation-ladder predicates for the recovery extension
-        # (repro.optim.passes + repro.tune): the cumulative pipeline
+        # (EngineTuning pipelines + repro.tune): the cumulative pipeline
         # must move the CC goodput knee strictly right of the naive CC
         # knee, claw-back must grow monotonically along the ladder,
         # coalescing token downloads must be monotone in the flush

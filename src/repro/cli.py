@@ -1105,7 +1105,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     tune_p = sub.add_parser(
         "tune",
-        help="auto-tune CC-mitigation pass pipelines (Pareto search)",
+        help="auto-tune CC-mitigation pipelines (Pareto search)",
     )
     tune_p.add_argument(
         "--passes", default="", metavar="FAMILIES",

@@ -43,19 +43,12 @@ _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 # Source trees whose edits cannot change a figure payload.  The check
 # package (gating) never feeds the simulator, with one exception: the
 # paper-target table is figure-table code, so cell_fingerprint() hashes
-# it explicitly below.  The mitigation layer (optim) and its search
-# driver (tune) are scoped out of the core too: only the figures that
-# actually import them (``_OPTIM_DEPENDENT_MODULES``) fold
-# ``optim_fingerprint()`` into their cell key, so editing a pass or the
-# tuner re-simulates the recovered-serving figure without invalidating
-# the rest of the grid.
+# it explicitly below.  No figure imports the benchmark's pipeline
+# shim (optim) or the search driver (tune), and a figure imports no
+# other figure module but ``common`` (test_exec.py scans the imports),
+# so a cell key is its own module, ``common`` and the core.
 _CORE_EXCLUDED_DIRS = ("figures", "exec", "check", "optim", "tune")
 _CORE_EXCLUDED_FILES = ("cli.py",)
-
-#: Figure modules whose payloads depend on :mod:`repro.optim` (they
-#: import its passes); keep in sync with the figure modules' imports —
-#: test_exec.py's invalidation matrix enforces it.
-_OPTIM_DEPENDENT_MODULES = ("ext_recovered_serving",)
 
 
 def _sha256(parts: Iterable[bytes]) -> str:
@@ -152,50 +145,21 @@ def package_fingerprint() -> str:
     )
 
 
-def _optim_source_files() -> Tuple[str, ...]:
-    paths = []
-    for tree in ("optim", "tune"):
-        root = os.path.join(_PACKAGE_ROOT, tree)
-        if not os.path.isdir(root):
-            continue
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-            for name in sorted(filenames):
-                if name.endswith(".py"):
-                    paths.append(os.path.join(dirpath, name))
-    return tuple(sorted(paths))
-
-
-@lru_cache(maxsize=None)
-def optim_fingerprint() -> str:
-    """Fingerprint of the mitigation-pass layer and the tune driver —
-    folded into the cell key only for ``_OPTIM_DEPENDENT_MODULES``."""
-    files = _optim_source_files()
-    return _sha256(
-        [os.path.relpath(p, _PACKAGE_ROOT).encode() for p in files]
-        + [_read_source(p) for p in files]
-    )
-
-
 def _figure_path(module: str) -> str:
     return os.path.join(_PACKAGE_ROOT, "figures", f"{module}.py")
 
 
 def cell_fingerprint(module: str) -> str:
     """Per-figure code fingerprint (module + shared table code + the
-    paper-target table + core, plus the optim/tune layer for the
-    figures that import it)."""
+    paper-target table + core)."""
     targets_path = os.path.join(_PACKAGE_ROOT, "check", "paper_targets.py")
-    parts = [
+    return _sha256([
         module.encode(),
         _read_source(_figure_path(module)),
         _read_source(_figure_path("common")),
         _read_source(targets_path),
         package_fingerprint().encode(),
-    ]
-    if module in _OPTIM_DEPENDENT_MODULES:
-        parts.append(optim_fingerprint().encode())
-    return _sha256(parts)
+    ])
 
 
 def clear_caches() -> None:
@@ -203,4 +167,3 @@ def clear_caches() -> None:
     grid_config_hash.cache_clear()
     calibration_hash.cache_clear()
     package_fingerprint.cache_clear()
-    optim_fingerprint.cache_clear()

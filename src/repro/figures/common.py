@@ -146,6 +146,17 @@ def _jsonable(cell: Any) -> Any:
     return cell
 
 
+# A serving rate sustains its offered load while goodput >= 90 % of
+# it; the knee is the last sustained rate in the sweep.
+KNEE_ATTAINMENT = 0.9
+
+
+def knee(rates: Sequence[float], goodput: Mapping[float, float]) -> float:
+    """The goodput knee of a rate sweep (0.0 if no rate is sustained)."""
+    sustained = [r for r in rates if goodput[r] >= KNEE_ATTAINMENT * r]
+    return max(sustained) if sustained else 0.0
+
+
 def default_results_dir() -> str:
     return os.environ.get(
         "REPRO_RESULTS_DIR",

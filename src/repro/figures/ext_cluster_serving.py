@@ -19,8 +19,7 @@ from typing import Dict, Sequence, Tuple
 from .. import units
 from ..config import SystemConfig
 from ..serve import ClusterSpec, ScenarioSpec, run_cluster
-from .common import FigureResult, dispatch
-from .ext_serving import KNEE_ATTAINMENT, _knee
+from .common import KNEE_ATTAINMENT, FigureResult, dispatch, knee
 
 RATES = (8.0, 12.0, 16.0, 20.0, 24.0, 28.0, 32.0, 36.0, 40.0, 44.0)
 TP_SWEEP = (1, 2, 4)
@@ -141,7 +140,7 @@ def generate_cluster_serving(
         )
 
     knees = {
-        (tp, mode): _knee(rates, goodput[(tp, mode)])
+        (tp, mode): knee(rates, goodput[(tp, mode)])
         for tp in tp_sweep
         for mode in ("base", "cc")
     }

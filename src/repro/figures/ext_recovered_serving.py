@@ -3,9 +3,10 @@
 ``ext_serving`` shows the problem — under CC the continuous-batching
 goodput knee sits strictly left of native because every iteration
 crosses the serialized host<->device bridge.  This figure shows the
-*recovery*: a cumulative ladder of :mod:`repro.optim.passes`
-mitigation pipelines (fusion -> +overlap -> +batched downloads ->
-+staging reuse -> +quantization) sweeps the same rate x CC grid and
+*recovery*: a cumulative ladder of mitigation pipelines
+(:meth:`repro.serve.tuning.EngineTuning.parse` strings: fusion ->
++overlap -> +batched downloads -> +staging reuse -> +quantization)
+sweeps the same rate x CC grid and
 moves the knee back to (and past) the native knee, with per-pass
 claw-back attribution at the top rate.
 
@@ -31,10 +32,8 @@ from typing import Dict, Sequence
 
 from .. import units
 from ..config import SystemConfig
-from ..optim.passes import PassPipeline, parse_pipeline
-from ..serve import ScenarioSpec, run_scenario
-from .common import FigureResult, dispatch
-from .ext_serving import KNEE_ATTAINMENT, _knee
+from ..serve import EngineTuning, ScenarioSpec, run_scenario
+from .common import KNEE_ATTAINMENT, FigureResult, dispatch, knee
 
 RATES = (8.0, 16.0, 24.0, 28.0, 32.0)
 
@@ -54,14 +53,6 @@ LADDER = (
 #: Token-download flush periods swept at the top rate (k=1 is the
 #: naive per-step download).
 FLUSH_SWEEP = (1, 2, 4, 8)
-
-
-def _run_point(
-    spec: ScenarioSpec, config: SystemConfig, pipeline: PassPipeline
-):
-    spec, tuning = pipeline.apply(spec)
-    _, result = run_scenario(spec, config, tuning=tuning)
-    return result
 
 
 def _row(stage, pipeline_id, rate, mode, result):
@@ -107,31 +98,30 @@ def generate_recovered(
     goodput: Dict[str, Dict[float, float]] = {}
     for rate in rates:
         spec = spec_for(rate)
-        result = _run_point(spec, base_config, PassPipeline(()))
+        _, result = run_scenario(spec, base_config)
         goodput.setdefault("base", {})[rate] = result.report["goodput_rps"]
         rows.append(_row("base", "naive", rate, "base", result))
         for stage, pipeline_spec in LADDER:
-            pipeline = parse_pipeline(pipeline_spec)
-            result = _run_point(spec, cc_config, pipeline)
+            tuning = EngineTuning.parse(pipeline_spec)
+            _, result = run_scenario(spec, cc_config, tuning=tuning)
             goodput.setdefault(stage, {})[rate] = result.report[
                 "goodput_rps"
             ]
-            rows.append(
-                _row(stage, pipeline.pipeline_id(), rate, "cc", result)
-            )
+            rows.append(_row(stage, tuning.describe(), rate, "cc", result))
 
     # Token-batching k-sweep at the top rate (batch-only pipelines, so
     # the monotonicity predicate isolates ONE mitigation family).
     flush_completed: Dict[int, float] = {}
     for k in FLUSH_SWEEP:
-        pipeline = parse_pipeline("naive" if k == 1 else f"batch:{k}")
-        result = _run_point(spec_for(top_rate), cc_config, pipeline)
+        tuning = EngineTuning(token_flush_every=k)
+        _, result = run_scenario(spec_for(top_rate), cc_config,
+                                 tuning=tuning)
         flush_completed[k] = result.report["completed_rps"]
         rows.append(
-            _row(f"k={k}", pipeline.pipeline_id(), top_rate, "cc", result)
+            _row(f"k={k}", tuning.describe(), top_rate, "cc", result)
         )
 
-    knees = {stage: _knee(rates, goodput[stage])
+    knees = {stage: knee(rates, goodput[stage])
              for stage in goodput}
     gap = goodput["base"][top_rate] - goodput["naive"][top_rate]
     clawback = {
@@ -201,8 +191,8 @@ def generate_recovered(
 def cell_figure_id(passes: str, rate: float, mode: str) -> str:
     """Deterministic per-cell figure id (also the output filename under
     the tuner's results dir, so it must be unique per grid point)."""
-    pipeline = parse_pipeline(passes)
-    slug = pipeline.pipeline_id().replace(":", "").replace("+", "-")
+    slug = EngineTuning.parse(passes).describe()
+    slug = slug.replace(":", "").replace("+", "-")
     return f"ext_recovered_cell_{mode}_r{rate:g}_{slug}"
 
 
@@ -217,7 +207,7 @@ def generate_cell(
     """One (pipeline, rate, mode) grid point for ``repro tune``."""
     if mode not in ("base", "cc"):
         raise ValueError(f"mode must be 'base' or 'cc', got {mode!r}")
-    pipeline = parse_pipeline(passes)
+    tuning = EngineTuning.parse(passes)
     config = (
         SystemConfig.confidential() if mode == "cc" else SystemConfig.base()
     )
@@ -227,16 +217,13 @@ def generate_cell(
         tenants=tenants,
         seed=seed,
     )
-    result = _run_point(spec, config, pipeline)
+    _, result = run_scenario(spec, config, tuning=tuning)
     return FigureResult(
         figure_id=cell_figure_id(passes, rate, mode),
-        title=f"tune cell: {pipeline.pipeline_id()} @ {rate:g} rps ({mode})",
+        title=f"tune cell: {tuning.describe()} @ {rate:g} rps ({mode})",
         columns=_COLUMNS,
-        rows=[_row("cell", pipeline.pipeline_id(), float(rate), mode,
-                   result)],
-        notes=[
-            "accuracy_drop_pct=%.2f" % pipeline.accuracy_drop_pct(),
-        ],
+        rows=[_row("cell", tuning.describe(), float(rate), mode, result)],
+        notes=["accuracy_drop_pct=%.2f" % tuning.accuracy_drop_pct],
     )
 
 

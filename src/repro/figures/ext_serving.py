@@ -21,18 +21,10 @@ from ..serve import (
     predicted_step_cc_overhead_ns,
     run_scenario,
 )
-from .common import FigureResult, dispatch
+from .common import KNEE_ATTAINMENT, FigureResult, dispatch, knee
 
 RATES = (8.0, 16.0, 20.0, 24.0, 28.0, 32.0)
 POLICY_LIST = ("fcfs", "spf")
-# A rate sustains its offered load while goodput >= 90 % of it; the
-# knee is the last sustained rate in the sweep.
-KNEE_ATTAINMENT = 0.9
-
-
-def _knee(rates: Sequence[float], goodput: Dict[float, float]) -> float:
-    sustained = [r for r in rates if goodput[r] >= KNEE_ATTAINMENT * r]
-    return max(sustained) if sustained else 0.0
 
 
 def generate_serving(
@@ -84,7 +76,7 @@ def generate_serving(
                 )
 
     knees = {
-        (policy, mode): _knee(rates, goodput[(policy, mode)])
+        (policy, mode): knee(rates, goodput[(policy, mode)])
         for policy in policies
         for mode in ("base", "cc")
     }

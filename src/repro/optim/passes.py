@@ -1,362 +1,15 @@
-"""Composable CC-mitigation passes (paper Sec. VII-A/VII-B).
+"""``parse_pipeline(text).apply(spec)``, kept only for the benchmark
+harness (``perfbench/workloads.py``), which spells a tuned serving
+engine this way.  Everything else reads a pipeline string with
+:meth:`repro.serve.tuning.EngineTuning.parse`."""
 
-The mitigation layer is split in two: :mod:`repro.serve.tuning` holds
-the *mechanism* (:class:`~repro.serve.tuning.EngineTuning`, the frozen
-knob record the serving engine consults on its hot path), and this
-module holds the *policy* — small, validated, composable transforms
-that each encode ONE mitigation the paper evaluates and produce a
-tuning record by pure rewriting.  ``repro.serve`` never imports
-``repro.optim``; the arrow points this way only.
+from types import SimpleNamespace
 
-A :class:`MitigationPass` is a pure transform over a
-``(ScenarioSpec, EngineTuning)`` pair::
+from ..serve.tuning import EngineTuning
 
-    spec, tuning = KernelFusionPass().apply(spec, tuning)
 
-Passes compose via :class:`PassPipeline`, an *ordered* sequence.  The
-empty pipeline is the identity: it yields a trivial tuning, and a
-trivial tuning leaves the engine byte-identical to the un-tuned build
-(the committed ``ext_serving``/``ext_cluster_serving`` verdicts) — the
-invariant CI's cmp gates enforce.
-
-Concrete passes, one per paper mitigation family:
-
-* :class:`KernelFusionPass` — fold admitted-prefill + decode into one
-  fused launch per mixed iteration (Observation 7: launch tax is the
-  CC fixed cost fusion amortizes).
-* :class:`CopyOverlapPass` — flush token D2H on a side stream with
-  double buffering so the DMA leg hides behind compute
-  (Observation 8: the CPU crypto leg stays serialized).
-* :class:`BatchedTokenDownloadPass` — coalesce per-step token
-  downloads into one flush every *k* steps (fewer encrypted transits
-  of the serialized bridge).
-* :class:`StagingReusePass` — direction-stable pinned staging for KV
-  swaps, paying the page-conversion cost once instead of per
-  direction flip.
-* :class:`QuantizationPass` — AWQ-style weight quantization plus
-  narrow KV entries (Sec. VII-B); the accuracy cost is carried as
-  pass metadata (``accuracy_drop_pct``), not simulated.
-
-:func:`parse_pipeline` turns the CLI/CI spelling
-``"fusion+overlap:2+batch:4+staging+quant:awq:8"`` into a validated
-pipeline; :data:`PASS_FAMILIES` is the registry behind it.
-"""
-
-from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
-
-from ..llm.config import QUANTS
-from ..serve.scenario import ScenarioSpec
-from ..serve.tuning import (
-    KV_BITS_CHOICES,
-    MAX_D2H_STREAMS,
-    MAX_FLUSH_EVERY,
-    EngineTuning,
-)
-
-
-class PassError(ValueError):
-    """A mitigation pass (or pipeline spec) is invalid."""
-
-
-#: Published perplexity-degradation ballpark per quant scheme, carried
-#: as metadata on :class:`QuantizationPass` so the tuner can surface
-#: the accuracy axis without pretending to simulate model quality.
-QUANT_ACCURACY_DROP_PCT = {"bf16": 0.0, "awq": 0.4}
-
-ApplyResult = Tuple[ScenarioSpec, EngineTuning]
-
-
-@runtime_checkable
-class MitigationPass(Protocol):
-    """Structural contract every mitigation pass satisfies.
-
-    A pass is a *pure* transform: ``apply`` must not mutate its inputs
-    (both are frozen dataclasses) and must be deterministic, so
-    pipelines are replayable and cache keys stay content-addressed.
-    User-defined passes need no registration to run in a
-    :class:`PassPipeline`; :data:`PASS_FAMILIES` registration is only
-    required for the :func:`parse_pipeline` spelling.
-    """
-
-    name: str
-
-    def validate(self) -> None: ...
-
-    def apply(
-        self, spec: ScenarioSpec, tuning: EngineTuning
-    ) -> ApplyResult: ...
-
-    def describe(self) -> str: ...
-
-
-@dataclass(frozen=True)
-class KernelFusionPass:
-    """Fuse admitted-prefill + decode into one launch per iteration."""
-
-    name = "fusion"
-
-    def validate(self) -> None:
-        return None
-
-    def apply(self, spec: ScenarioSpec, tuning: EngineTuning) -> ApplyResult:
-        return spec, dataclasses.replace(tuning, fuse_step_kernels=True)
-
-    def describe(self) -> str:
-        return "fusion"
-
-
-@dataclass(frozen=True)
-class CopyOverlapPass:
-    """Hide token-download DMA behind compute on a side stream."""
-
-    streams: int = 2
-    name = "overlap"
-
-    def validate(self) -> None:
-        if not isinstance(self.streams, int) or not (
-            2 <= self.streams <= MAX_D2H_STREAMS
-        ):
-            raise PassError(
-                f"overlap streams must be an int in [2, {MAX_D2H_STREAMS}]"
-                f" (1 would be a no-op), got {self.streams!r}"
-            )
-
-    def apply(self, spec: ScenarioSpec, tuning: EngineTuning) -> ApplyResult:
-        return spec, dataclasses.replace(tuning, d2h_streams=self.streams)
-
-    def describe(self) -> str:
-        return f"overlap:{self.streams}"
-
-
-@dataclass(frozen=True)
-class BatchedTokenDownloadPass:
-    """Coalesce per-step token D2H into one flush every *k* steps."""
-
-    flush_every: int = 4
-    name = "batch"
-
-    def validate(self) -> None:
-        if not isinstance(self.flush_every, int) or not (
-            2 <= self.flush_every <= MAX_FLUSH_EVERY
-        ):
-            raise PassError(
-                f"batch flush_every must be an int in [2, {MAX_FLUSH_EVERY}]"
-                f" (1 would be a no-op), got {self.flush_every!r}"
-            )
-
-    def apply(self, spec: ScenarioSpec, tuning: EngineTuning) -> ApplyResult:
-        return spec, dataclasses.replace(
-            tuning, token_flush_every=self.flush_every
-        )
-
-    def describe(self) -> str:
-        return f"batch:{self.flush_every}"
-
-
-@dataclass(frozen=True)
-class StagingReusePass:
-    """Direction-stable pinned staging buffers for KV swap traffic."""
-
-    name = "staging"
-
-    def validate(self) -> None:
-        return None
-
-    def apply(self, spec: ScenarioSpec, tuning: EngineTuning) -> ApplyResult:
-        return spec, dataclasses.replace(tuning, split_swap_staging=True)
-
-    def describe(self) -> str:
-        return "staging"
-
-
-@dataclass(frozen=True)
-class QuantizationPass:
-    """Weight quantization + narrow KV entries (Sec. VII-B)."""
-
-    quant: str = "awq"
-    kv_bits: int = 8
-
-    name = "quant"
-
-    def validate(self) -> None:
-        if self.quant not in QUANTS:
-            raise PassError(
-                f"unknown quant {self.quant!r} (have {sorted(QUANTS)})"
-            )
-        if self.kv_bits not in KV_BITS_CHOICES:
-            raise PassError(
-                f"kv_bits must be one of {KV_BITS_CHOICES}, "
-                f"got {self.kv_bits!r}"
-            )
-
-    @property
-    def accuracy_drop_pct(self) -> float:
-        """Metadata: published quality cost of the scheme (not
-        simulated — surfaces the accuracy axis in tuner output)."""
-        return QUANT_ACCURACY_DROP_PCT[self.quant]
-
-    def apply(self, spec: ScenarioSpec, tuning: EngineTuning) -> ApplyResult:
-        return spec, dataclasses.replace(
-            tuning, quant=self.quant, kv_bits=self.kv_bits
-        )
-
-    def describe(self) -> str:
-        return f"quant:{self.quant}:{self.kv_bits}"
-
-
-@dataclass(frozen=True)
-class PassPipeline:
-    """An ordered, composable sequence of mitigation passes.
-
-    ``PassPipeline(())`` is the identity pipeline: applying it yields
-    a trivial :class:`EngineTuning`, which reproduces the committed
-    un-tuned verdict bytes exactly.
-    """
-
-    passes: Tuple[MitigationPass, ...] = ()
-
-    def validate(self) -> None:
-        seen = set()
-        for p in self.passes:
-            for attr in ("validate", "apply", "describe"):
-                if not callable(getattr(p, attr, None)):
-                    raise PassError(
-                        f"{p!r} is not a mitigation pass "
-                        f"(missing .{attr}())"
-                    )
-            p.validate()
-            family = getattr(p, "name", type(p).__name__)
-            if family in seen:
-                raise PassError(
-                    f"duplicate pass family {family!r} in pipeline "
-                    f"{self.pipeline_id()!r}"
-                )
-            seen.add(family)
-
-    def apply(
-        self,
-        spec: ScenarioSpec,
-        tuning: Optional[EngineTuning] = None,
-    ) -> ApplyResult:
-        """Fold every pass, left to right, over ``(spec, tuning)``."""
-        self.validate()
-        tuning = tuning or EngineTuning()
-        for p in self.passes:
-            spec, tuning = p.apply(spec, tuning)
-        tuning.validate()
-        return spec, tuning
-
-    def tuning(self) -> EngineTuning:
-        """The tuning this pipeline produces from inert defaults."""
-        return self.apply(ScenarioSpec())[1]
-
-    def pipeline_id(self) -> str:
-        """Stable label: pass descriptions joined by ``+`` (``naive``
-        for the empty pipeline)."""
-        if not self.passes:
-            return "naive"
-        return "+".join(p.describe() for p in self.passes)
-
-    @property
-    def trivial(self) -> bool:
-        return not self.passes
-
-    def accuracy_drop_pct(self) -> float:
-        """Summed accuracy metadata across passes (0.0 when no pass
-        carries a quality cost)."""
-        return sum(
-            getattr(p, "accuracy_drop_pct", 0.0) for p in self.passes
-        )
-
-
-def _parse_int(token: str, arg: str) -> int:
-    try:
-        return int(arg)
-    except ValueError:
-        raise PassError(
-            f"bad integer {arg!r} in pipeline token {token!r}"
-        ) from None
-
-
-def _make_fusion(token: str, args: Sequence[str]) -> KernelFusionPass:
-    if args:
-        raise PassError(f"'fusion' takes no arguments, got {token!r}")
-    return KernelFusionPass()
-
-
-def _make_overlap(token: str, args: Sequence[str]) -> CopyOverlapPass:
-    if len(args) > 1:
-        raise PassError(f"'overlap' takes at most one arg, got {token!r}")
-    streams = _parse_int(token, args[0]) if args else 2
-    return CopyOverlapPass(streams=streams)
-
-
-def _make_batch(token: str, args: Sequence[str]) -> BatchedTokenDownloadPass:
-    if len(args) > 1:
-        raise PassError(f"'batch' takes at most one arg, got {token!r}")
-    flush_every = _parse_int(token, args[0]) if args else 4
-    return BatchedTokenDownloadPass(flush_every=flush_every)
-
-
-def _make_staging(token: str, args: Sequence[str]) -> StagingReusePass:
-    if args:
-        raise PassError(f"'staging' takes no arguments, got {token!r}")
-    return StagingReusePass()
-
-
-def _make_quant(token: str, args: Sequence[str]) -> QuantizationPass:
-    if len(args) > 2:
-        raise PassError(f"'quant' takes at most two args, got {token!r}")
-    quant = args[0] if args else "awq"
-    kv_bits = _parse_int(token, args[1]) if len(args) > 1 else 8
-    return QuantizationPass(quant=quant, kv_bits=kv_bits)
-
-
-#: Pipeline-spec grammar registry: family keyword -> factory taking
-#: (full token, colon-split args).
-PASS_FAMILIES: Dict[str, Callable[[str, Sequence[str]], MitigationPass]] = {
-    "fusion": _make_fusion,
-    "overlap": _make_overlap,
-    "batch": _make_batch,
-    "staging": _make_staging,
-    "quant": _make_quant,
-}
-
-
-def parse_pipeline(text: str) -> PassPipeline:
-    """Parse ``"fusion+overlap:2+batch:4+staging+quant:awq:8"``.
-
-    ``"naive"`` (or the empty string) spells the identity pipeline.
-    Family order is preserved; duplicate families are rejected.
-    """
-    raw = text.strip().lower()
-    if raw in ("", "naive"):
-        return PassPipeline(())
-    passes = []
-    for token in raw.split("+"):
-        token = token.strip()
-        if not token:
-            raise PassError(f"empty pass token in pipeline spec {text!r}")
-        family, *args = token.split(":")
-        factory = PASS_FAMILIES.get(family)
-        if factory is None:
-            raise PassError(
-                f"unknown pass family {family!r} in {text!r} "
-                f"(have {sorted(PASS_FAMILIES)})"
-            )
-        passes.append(factory(token, args))
-    pipeline = PassPipeline(tuple(passes))
-    pipeline.validate()
-    return pipeline
+def parse_pipeline(text: str) -> SimpleNamespace:
+    """An object whose ``apply(spec)`` returns ``(spec,
+    EngineTuning.parse(text))``."""
+    tuning = EngineTuning.parse(text)
+    return SimpleNamespace(apply=lambda spec: (spec, tuning))

@@ -1,12 +1,13 @@
-"""Pareto auto-tuner over CC-mitigation pass pipelines.
+"""Pareto auto-tuner over CC-mitigation pipelines.
 
-``repro tune`` searches the composable :mod:`repro.optim.passes`
-space for pipelines that close the CC serving gap: it enumerates a
-deterministic pass x config grid, runs every (pipeline, rate, mode)
-point as an ``ext_recovered_serving`` *cell* through the
-content-addressed :mod:`repro.exec` cache (resumable — re-running a
-partially finished sweep only simulates the missing points; parallel
-via ``--jobs``), and reports the Pareto frontier over
+``repro tune`` searches mitigation pipelines (the
+:meth:`repro.serve.tuning.EngineTuning.parse` strings) for those that
+close the CC serving gap: it enumerates a deterministic pass x config
+grid, runs every (pipeline, rate, mode) point as an
+``ext_recovered_serving`` *cell* through the content-addressed
+:mod:`repro.exec` cache (resumable — re-running a partially finished
+sweep only simulates the missing points; parallel via ``--jobs``),
+and reports the Pareto frontier over
 
     (goodput up, TTFT p99 down, CC overhead ratio down)
 

@@ -26,12 +26,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..exec.runner import CellSpec, GridReport, run_grid
-from ..optim.passes import parse_pipeline
-
-#: Canonical family application order — matches the cumulative ladder
-#: in :mod:`repro.figures.ext_recovered_serving` so pipeline ids line
-#: up between the figure and the tuner.
-FAMILY_ORDER = ("fusion", "overlap", "batch", "staging", "quant")
+from ..serve.tuning import FAMILY_ORDER, EngineTuning
 
 #: Per-family config candidates for each search grid.  ``small`` is
 #: one candidate per family (2^5 = 32 pipelines over all families);
@@ -86,21 +81,17 @@ class TuneSpec:
             if family in seen:
                 raise TuneError(f"duplicate pass family {family!r}")
             seen.add(family)
-        if not (
-            isinstance(self.rate, (int, float))
-            and math.isfinite(self.rate)
-            and self.rate > 0
-        ):
-            raise TuneError(f"rate must be positive finite, got {self.rate!r}")
-        if not (
-            isinstance(self.duration_s, (int, float))
-            and math.isfinite(self.duration_s)
-            and self.duration_s > 0
-        ):
-            raise TuneError(
-                f"duration_s must be positive finite, got {self.duration_s!r}"
-            )
-        if not isinstance(self.tenants, int) or self.tenants < 1:
+        for name in ("rate", "duration_s"):
+            value = getattr(self, name)
+            if not (
+                type(value) in (int, float)
+                and math.isfinite(value)
+                and value > 0
+            ):
+                raise TuneError(
+                    f"{name} must be positive finite, got {value!r}"
+                )
+        if type(self.tenants) is not int or self.tenants < 1:
             raise TuneError(f"tenants must be an int >= 1, got {self.tenants!r}")
 
 
@@ -124,12 +115,8 @@ def enumerate_pipelines(spec: TuneSpec) -> Tuple[str, ...]:
 
 
 def _cell_slug(pipeline: str) -> str:
-    return (
-        parse_pipeline(pipeline)
-        .pipeline_id()
-        .replace(":", "")
-        .replace("+", "-")
-    )
+    label = EngineTuning.parse(pipeline).describe()
+    return label.replace(":", "").replace("+", "-")
 
 
 def build_grid(spec: TuneSpec) -> Dict[str, CellSpec]:
@@ -137,7 +124,7 @@ def build_grid(spec: TuneSpec) -> Dict[str, CellSpec]:
 
     Cells must NOT be hidden — hidden cells get a self-test cache key
     instead of the code fingerprint, which would defeat invalidation
-    when :mod:`repro.optim` / the figure module changes.
+    when the figure module or the serving core changes.
     """
 
     def cell(cell_id: str, pipeline: str, mode: str) -> CellSpec:

@@ -6,6 +6,8 @@ serial-vs-parallel byte-identical payloads, warm-cache reruns that
 execute zero simulations, and worker crash isolation.
 """
 
+import ast
+import importlib.util
 import json
 import os
 
@@ -112,18 +114,21 @@ def _with_edit(monkeypatch, suffix):
     fingerprint.clear_caches()
 
 
-# The cache-invalidation matrix for the scoped optim/tune fingerprint:
-# rows are edit sites, columns are (figure module -> must invalidate?).
-# Only the figures that import repro.optim may be re-simulated by a
-# pass/tuner edit; a core edit still invalidates everything.
+# The cache-invalidation matrix: rows are edit sites, columns are
+# (figure module -> must invalidate?).  No figure imports optim/ or
+# tune/, so editing them re-simulates nothing; a core or common.py edit
+# invalidates everything; a figure edit invalidates only that figure.
 _MATRIX = [
     ("repro/optim/passes.py",
      {"table1_config": False, "ext_serving": False,
-      "extensions": False, "ext_recovered_serving": True}),
+      "extensions": False, "ext_recovered_serving": False}),
     ("repro/tune/driver.py",
      {"table1_config": False, "ext_serving": False,
-      "extensions": False, "ext_recovered_serving": True}),
+      "extensions": False, "ext_recovered_serving": False}),
     ("repro/units.py",
+     {"table1_config": True, "ext_serving": True,
+      "extensions": True, "ext_recovered_serving": True}),
+    ("repro/figures/common.py",
      {"table1_config": True, "ext_serving": True,
       "extensions": True, "ext_recovered_serving": True}),
     ("repro/figures/ext_recovered_serving.py",
@@ -152,27 +157,55 @@ def test_invalidation_matrix_scopes_optim_edits(
         )
 
 
-def test_optim_dependent_modules_match_imports():
-    """The scoped-fingerprint module list must track reality: exactly
-    the figure modules that import repro.optim."""
-    import importlib
+def _imported_modules(tree, package):
+    """Absolute names of the modules an AST imports (for ``from X
+    import a``, both ``X`` and ``X.a``: ``a`` may be a submodule)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = importlib.util.resolve_name(
+                "." * node.level + (node.module or ""), package
+            )
+            names.add(module)
+            names.update(f"{module}.{alias.name}" for alias in node.names)
+    return names
 
+
+def _outside_cell_key(name):
+    """True for a ``repro`` module cell_fingerprint() does not hash for
+    a figure: a tree or file the core leaves out, bar figures/common."""
+    parts = name.split(".")
+    if parts[0] != "repro" or len(parts) < 2:
+        return False
+    if parts == ["repro", "figures"] or parts[:3] == [
+        "repro", "figures", "common"
+    ]:
+        return False
+    return (
+        parts[1] in fingerprint._CORE_EXCLUDED_DIRS
+        or f"{parts[1]}.py" in fingerprint._CORE_EXCLUDED_FILES
+    )
+
+
+def test_figures_import_no_module_outside_their_cell_key():
+    """cell_fingerprint() hashes a figure's own module, common.py and
+    the core, so a grid figure may import nothing else from a tree the
+    core leaves out: no other figure module, no exec/check/optim/tune."""
     from repro.exec.runner import GRID
 
-    modules = {
-        spec.module for spec in GRID.values() if not spec.hidden
-    }
-    importers = set()
-    for module in modules:
-        source = open(
-            fingerprint._figure_path(module), encoding="utf-8"
-        ).read()
-        if "from ..optim" in source or "from repro.optim" in source:
-            importers.add(module)
-    assert importers == set(fingerprint._OPTIM_DEPENDENT_MODULES)
-    # and each one really imports cleanly
-    for module in importers:
-        importlib.import_module(f"repro.figures.{module}")
+    offenders = {}
+    for module in sorted({s.module for s in GRID.values() if not s.hidden}):
+        path = fingerprint._figure_path(module)
+        with open(path, encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), path)
+        bad = sorted(filter(
+            _outside_cell_key, _imported_modules(tree, "repro.figures")
+        ))
+        if bad:
+            offenders[module] = bad
+    assert not offenders, offenders
 
 
 # ---------------------------------------------------------------------------

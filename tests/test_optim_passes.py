@@ -1,9 +1,10 @@
-"""Tests for the composable CC-mitigation pass layer (repro.optim.passes).
+"""Tests for the CC-mitigation pipeline grammar on EngineTuning.
 
-Covers the zero-perturbation contract (identity pipeline == committed
-verdict bytes), the pipeline grammar, pass composition/ordering, and a
-Hypothesis property that ANY valid pass configuration preserves the
-serving engine's no-lost-request ledger invariant.
+Covers the zero-perturbation contract (the ``naive`` pipeline ==
+committed verdict bytes), ``EngineTuning.parse`` as the inverse of
+``describe``, the tuning validator, and a Hypothesis property that ANY
+valid tuning preserves the serving engine's no-lost-request ledger
+invariant.
 """
 
 import pytest
@@ -12,17 +13,7 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
-from repro.optim import (
-    BatchedTokenDownloadPass,
-    CopyOverlapPass,
-    KernelFusionPass,
-    MitigationPass,
-    PassError,
-    PassPipeline,
-    QuantizationPass,
-    StagingReusePass,
-    parse_pipeline,
-)
+from repro.figures.ext_recovered_serving import FLUSH_SWEEP, LADDER
 from repro.serve import (
     EngineTuning,
     ScenarioSpec,
@@ -30,6 +21,7 @@ from repro.serve import (
     run_scenario,
     verdict_json,
 )
+from repro.tune import CANDIDATES, TuneSpec, enumerate_pipelines
 
 SMALL = ScenarioSpec(rate_rps=16.0, duration_ns=units.NS_PER_SEC // 4)
 
@@ -39,22 +31,20 @@ SMALL = ScenarioSpec(rate_rps=16.0, duration_ns=units.NS_PER_SEC // 4)
 
 
 def test_identity_pipeline_produces_trivial_tuning():
-    pipeline = PassPipeline(())
-    spec, tuning = pipeline.apply(SMALL)
-    assert spec == SMALL
-    assert tuning.trivial
-    assert pipeline.pipeline_id() == "naive"
-    assert pipeline.trivial
+    for text in ("naive", "", " NAIVE "):
+        tuning = EngineTuning.parse(text)
+        assert tuning == EngineTuning()
+        assert tuning.trivial
+    assert EngineTuning().describe() == "naive"
 
 
 def test_identity_pipeline_verdict_bytes_equal_untuned():
-    """The empty pipeline must reproduce the engine's verdict
+    """The ``naive`` pipeline must reproduce the engine's verdict
     byte-for-byte — the invariant behind the committed ext_serving /
     ext_cluster_serving goldens (CI cmp-gates the goldens themselves)."""
     config = SystemConfig.confidential()
     _, untuned = run_scenario(SMALL, config)
-    _, tuning = PassPipeline(()).apply(SMALL)
-    _, tuned = run_scenario(SMALL, config, tuning=tuning)
+    _, tuned = run_scenario(SMALL, config, tuning=EngineTuning.parse("naive"))
     assert verdict_json(untuned) == verdict_json(tuned)
 
 
@@ -64,7 +54,7 @@ def test_trivial_tuning_adds_no_stats_keys():
 
 
 def test_nontrivial_tuning_surfaces_in_stats():
-    _, tuning = parse_pipeline("fusion+batch:2").apply(SMALL)
+    tuning = EngineTuning.parse("fusion+batch:2")
     _, result = run_scenario(SMALL, SystemConfig.confidential(),
                              tuning=tuning)
     assert result.engine.stats["tuning"] == "fusion+batch:2"
@@ -73,22 +63,34 @@ def test_nontrivial_tuning_surfaces_in_stats():
 
 
 # ---------------------------------------------------------------------------
-# grammar and composition
+# grammar
 
 
 def test_parse_full_pipeline_roundtrip():
     text = "fusion+overlap:2+batch:4+staging+quant:awq:8"
-    pipeline = parse_pipeline(text)
-    assert pipeline.pipeline_id() == text
-    _, tuning = pipeline.apply(SMALL)
+    tuning = EngineTuning.parse(text)
+    assert tuning.describe() == text
     assert tuning == EngineTuning(
         fuse_step_kernels=True, token_flush_every=4, d2h_streams=2,
         split_swap_staging=True, quant="awq", kv_bits=8,
     )
 
 
+def _repo_pipelines():
+    texts = [text for _, text in LADDER]
+    texts += ["naive" if k == 1 else f"batch:{k}" for k in FLUSH_SWEEP]
+    for grid in CANDIDATES:
+        texts += enumerate_pipelines(TuneSpec(grid=grid))
+    return texts
+
+
+def test_describe_inverts_parse_on_every_repo_pipeline():
+    texts = _repo_pipelines()
+    assert [t for t in texts if EngineTuning.parse(t).describe() != t] == []
+
+
 def test_parse_defaults_per_family():
-    _, tuning = parse_pipeline("overlap+batch+quant").apply(SMALL)
+    tuning = EngineTuning.parse("overlap+batch+quant")
     assert tuning.d2h_streams == 2
     assert tuning.token_flush_every == 4
     assert (tuning.quant, tuning.kv_bits) == ("awq", 8)
@@ -100,53 +102,39 @@ def test_parse_defaults_per_family():
     "+fusion", "fusion++batch",
 ])
 def test_parse_rejects_bad_specs(text):
-    with pytest.raises(PassError):
-        parse_pipeline(text)
+    with pytest.raises(TuningError):
+        EngineTuning.parse(text)
 
 
-def test_passes_satisfy_the_protocol():
-    for p in (KernelFusionPass(), CopyOverlapPass(), QuantizationPass(),
-              BatchedTokenDownloadPass(), StagingReusePass()):
-        assert isinstance(p, MitigationPass)
-        p.validate()
-        assert p.describe()
-
-
-def test_apply_is_pure_and_order_independent_for_disjoint_knobs():
-    a = PassPipeline((KernelFusionPass(), StagingReusePass()))
-    b = PassPipeline((StagingReusePass(), KernelFusionPass()))
-    tuning = EngineTuning()
-    _, ta = a.apply(SMALL, tuning)
-    _, tb = b.apply(SMALL, tuning)
-    assert ta == tb
-    assert tuning == EngineTuning()  # inputs not mutated
-
-
-def test_pipeline_rejects_non_pass_members():
-    with pytest.raises(PassError, match="not a mitigation pass"):
-        PassPipeline((object(),)).validate()
-
-
-def test_pipeline_rejects_invalid_member_config():
-    with pytest.raises(PassError):
-        PassPipeline((CopyOverlapPass(streams=1),)).validate()
+def test_parse_is_order_independent_for_disjoint_families():
+    a = EngineTuning.parse("fusion+staging")
+    assert a == EngineTuning.parse("staging+fusion")
+    assert a.describe() == "fusion+staging"
 
 
 def test_accuracy_metadata_flows_through_pipeline():
-    assert PassPipeline(()).accuracy_drop_pct() == 0.0
-    pipeline = parse_pipeline("fusion+quant:awq:8")
-    assert pipeline.accuracy_drop_pct() == pytest.approx(0.4)
+    assert EngineTuning().accuracy_drop_pct == 0.0
+    tuning = EngineTuning.parse("fusion+quant:awq:8")
+    assert tuning.accuracy_drop_pct == pytest.approx(0.4)
 
 
 def test_engine_rejects_out_of_range_tuning():
-    with pytest.raises(TuningError):
-        run_scenario(SMALL, tuning=EngineTuning(token_flush_every=0))
-    with pytest.raises(TuningError):
-        run_scenario(SMALL, tuning=EngineTuning(d2h_streams=99))
+    for bad in (
+        dict(token_flush_every=0),
+        dict(d2h_streams=99),
+        dict(fuse_step_kernels="no"),
+        dict(split_swap_staging=0),
+        dict(token_flush_every=True),
+        dict(d2h_streams=2.0),
+        dict(kv_bits=8.0),
+        dict(quant=["awq"]),
+    ):
+        with pytest.raises(TuningError):
+            run_scenario(SMALL, tuning=EngineTuning(**bad))
 
 
 # ---------------------------------------------------------------------------
-# property: any pass config preserves the lifecycle ledger invariant
+# properties over any valid tuning
 
 
 TINY = ScenarioSpec(rate_rps=12.0, duration_ns=units.NS_PER_SEC // 5)
@@ -178,3 +166,8 @@ def test_any_tuning_preserves_ledger_invariant(tuning, cc):
     )
     # tuned engines change costs, never the request population
     assert result.arrival_digest == run_scenario(TINY, config)[1].arrival_digest
+
+
+@given(tuning=tunings)
+def test_parse_inverts_describe(tuning):
+    assert EngineTuning.parse(tuning.describe()) == tuning

@@ -44,6 +44,7 @@ from repro.serve import (
     FAILED,
     SHED,
     DegradationPolicy,
+    EngineTuning,
     KVPager,
     LifecycleError,
     LifecycleLedger,
@@ -53,7 +54,6 @@ from repro.serve import (
     run_scenario,
     verdict_json,
 )
-from repro.optim import parse_pipeline
 from repro.serve.scheduler import TOKEN_BUF_BYTES
 
 NS_PER_SEC = units.NS_PER_SEC
@@ -272,9 +272,8 @@ def test_shedding_an_empty_scheduler_still_flushes_tokens(pipeline, seed):
     # finished ones wait in an overlapped flush.  The engine must
     # deliver them before it idles or stops, or request 133 never
     # terminates (LifecycleError at drain).
-    spec, tuning = parse_pipeline(pipeline).apply(
-        spec_for("shed+breaker", 42, 4.0)
-    )
+    spec = spec_for("shed+breaker", 42, 4.0)
+    tuning = EngineTuning.parse(pipeline)
     config = SystemConfig.confidential(seed=seed).replace(
         faults=fault_plan_for(0.1)
     )
@@ -363,9 +362,8 @@ def test_overlapped_flush_fatal_fault_crashes_the_engine(
     # and serves on (its next flushes must not inherit the failure), or
     # past its restart budget it gives up.  Either way run() returns a
     # report; it must neither raise nor lose the fault.
-    spec, tuning = parse_pipeline("overlap:2").apply(
-        ScenarioSpec(**SHORT, max_engine_restarts=restarts)
-    )
+    spec = ScenarioSpec(**SHORT, max_engine_restarts=restarts)
+    tuning = EngineTuning.parse("overlap:2")
     first = _flush_dma_draws(spec, tuning, monkeypatch)[flush]
     attempts = SystemConfig.confidential().retry.max_attempts
     plan = FaultPlan.from_mapping(

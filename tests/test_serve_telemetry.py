@@ -19,12 +19,12 @@ from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
 from repro.figures.ext_fault_serving import spec_for as fault_spec_for
 from repro.obs import summary
-from repro.optim import parse_pipeline
 from repro.profiler.importers import from_chrome_trace
 from repro.serve import (
     ATTRIBUTION_COMPONENTS,
     ClusterSpec,
     EngineOp,
+    EngineTuning,
     RequestOutcome,
     ScenarioSpec,
     ServeTelemetry,
@@ -294,12 +294,12 @@ def test_attribution_work_grows_linearly(monkeypatch):
     "pipeline", ["fusion", "fusion+overlap:2+batch:4+staging"]
 )
 def test_fused_step_attribution(pipeline, faulty):
-    spec, tuning = parse_pipeline(pipeline).apply(QUICK)
+    tuning = EngineTuning.parse(pipeline)
     config = SystemConfig.confidential()
     if faulty:
         config = config.replace(faults=fault_plan_for(0.05))
-    _, plain = run_scenario(spec, config, tuning=tuning)
-    trace, result = run_scenario(spec, config, telemetry=True, tuning=tuning)
+    _, plain = run_scenario(QUICK, config, tuning=tuning)
+    trace, result = run_scenario(QUICK, config, telemetry=True, tuning=tuning)
     assert verdict_json(plain) == verdict_json(result)
     assert any(
         s.layer == "serve.op" and s.name == "fused_step" for s in trace.spans
@@ -539,9 +539,7 @@ def test_untuned_cc_export_digests_pinned():
 
 
 def _tuned_faulty_exports():
-    _, tuning = parse_pipeline("fusion+overlap:2+batch:4+staging").apply(
-        FAULTY
-    )
+    tuning = EngineTuning.parse("fusion+overlap:2+batch:4+staging")
     trace, result = run_scenario(
         FAULTY, _faulty_config(), telemetry=True, tuning=tuning
     )

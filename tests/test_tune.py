@@ -80,6 +80,10 @@ def test_build_grid_cells_are_visible_and_stable():
     TuneSpec(rate=float("nan")),
     TuneSpec(duration_s=-1.0),
     TuneSpec(tenants=0),
+    TuneSpec(rate=True),
+    TuneSpec(duration_s=True),
+    TuneSpec(tenants=True),
+    TuneSpec(tenants=2.0),
 ])
 def test_spec_validation_rejects(bad):
     with pytest.raises(TuneError):
