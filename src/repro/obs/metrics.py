@@ -1,10 +1,13 @@
 """Metrics registry: counters, gauges, and histograms in simulated time.
 
-Counters and gauges keep their full sample series ``(t_ns, value)`` so
-they export as Chrome-trace counter ("C"-phase) tracks next to the
-span timeline — bounce-pool occupancy, engine utilisation and
-launch-queue depth over the run, not just their final values.
-Histograms collect raw observations for distribution summaries.
+Counters and gauges keep every sample, as two parallel columns
+(``times`` and ``values``), so they export as Chrome-trace counter
+("C"-phase) tracks next to the span timeline — bounce-pool occupancy,
+engine utilisation and launch-queue depth over the run, not just their
+final values.  ``series`` is a ``[(t_ns, value), ...]`` view built on
+read.  Histograms collect raw observations for distribution summaries.
+Each sample is validated when it is recorded: a counter takes only
+finite deltas >= 0, gauges and histograms only finite values.
 
 All recording is pure bookkeeping (no simulation interaction), so the
 registry can never perturb simulated timings.
@@ -50,43 +53,62 @@ class Metric:
         return clock() if clock is not None else 0
 
 
-class Counter(Metric):
+class _Sampled(Metric):
+    """Base of the sampled instruments: the reads of their ``times``
+    and ``values`` columns."""
+
+    @property
+    def series(self) -> List[Tuple[int, Number]]:
+        """The samples as ``(t_ns, value)`` pairs (a copy)."""
+        return list(zip(self.times, self.values))
+
+    @property
+    def value(self) -> Number:
+        return self.values[-1] if self.values else 0
+
+
+class Counter(_Sampled):
     """Monotonic cumulative count; each increment is a sample."""
 
     kind = "counter"
 
     def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         super().__init__(name, registry)
-        self.series: List[Tuple[int, Number]] = []
-
-    @property
-    def value(self) -> Number:
-        return self.series[-1][1] if self.series else 0
+        self.times: List[int] = []
+        self.values: List[Number] = []
 
     def inc(self, delta: Number = 1) -> None:
-        if delta == 0:
-            return
-        self.series.append((self._now(), self.value + delta))
+        if not 0 <= delta < math.inf or delta.__class__ is bool:
+            raise ValueError(
+                f"counter {self.name!r}: delta must be a finite number"
+                f" >= 0, not {delta!r}"
+            )
+        if delta:
+            values = self.values
+            self.times.append(self._now())
+            values.append(values[-1] + delta if values else delta)
 
 
-class Gauge(Metric):
+class Gauge(_Sampled):
     """Point-in-time sampled value (occupancy, queue depth...)."""
 
     kind = "gauge"
 
     def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         super().__init__(name, registry)
-        self.series: List[Tuple[int, Number]] = []
-
-    @property
-    def value(self) -> Number:
-        return self.series[-1][1] if self.series else 0
+        self.times: List[int] = []
+        self.values: List[Number] = []
 
     def set(self, value: Number) -> None:
-        self.series.append((self._now(), value))
+        if not -math.inf < value < math.inf:
+            raise ValueError(
+                f"gauge {self.name!r}: value must be finite, not {value!r}"
+            )
+        self.times.append(self._now())
+        self.values.append(value)
 
     def max(self) -> Number:
-        return max((v for _, v in self.series), default=0)
+        return max(self.values, default=0)
 
 
 class Histogram(Metric):
@@ -99,10 +121,13 @@ class Histogram(Metric):
         self.values: List[Number] = []
 
     def observe(self, value: Number) -> None:
-        if isinstance(value, float) and math.isnan(value):
+        if not -math.inf < value < math.inf:
             # Reject at the door: a NaN observation would make every
-            # later summary() raise far from the culprit.
-            raise ValueError(f"histogram {self.name!r}: NaN observation")
+            # later summary() raise far from the culprit, and NaN or an
+            # infinity exports as a token strict JSON parsers reject.
+            raise ValueError(
+                f"histogram {self.name!r}: NaN or infinite observation"
+            )
         self.values.append(value)
 
     @property
@@ -201,7 +226,8 @@ class MetricsRegistry:
     ) -> None:
         """Restore a counter/gauge sample series from a trace file."""
         metric = self._get(name, kind)
-        metric.series = list(samples)  # type: ignore[union-attr]
+        metric.times = [t for t, _ in samples]  # type: ignore[union-attr]
+        metric.values = [v for _, v in samples]  # type: ignore[union-attr]
 
     def import_histogram(self, name: str, values: List[Number]) -> None:
         metric = self._get(name, "histogram")

@@ -150,6 +150,12 @@ class SpanRecorder:
     def __iter__(self) -> Iterator[Span]:
         return iter(self.spans)
 
+    @property
+    def has_open(self) -> bool:
+        """Whether a with-block span is still open (its duration is not
+        final yet)."""
+        return any(self._open.values())
+
     # -- recording ---------------------------------------------------------
 
     def span(self, name: str, layer: str, scope: str = "cpu", **attrs: Any):

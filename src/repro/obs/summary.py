@@ -261,16 +261,15 @@ def summarize(trace: Trace, top: int = 10) -> str:
         ))
 
     counters = [
-        m for m in trace.metrics.sampled() if m.series
+        m for m in trace.metrics.sampled() if m.values
     ]
     if counters:
         lines.append("")
         lines.append("metrics (final value / samples):")
         for metric in counters:
-            final = metric.series[-1][1]
             lines.append(
-                f"  {metric.name:<26}{final:>16}"
-                f"{len(metric.series):8d} samples"
+                f"  {metric.name:<26}{metric.value:>16}"
+                f"{len(metric.values):8d} samples"
             )
 
     spans = top_spans(trace, top)

@@ -76,6 +76,10 @@ DERIVED_SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+# The kinds :func:`derive_events` can produce.
+_DERIVED_KINDS = frozenset(API_EVENT_KINDS.values()) | frozenset(LAYER_EVENT_KINDS.values())
+
+
 def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
     """The events of the CUDA API calls (:data:`API_EVENT_KINDS`),
     kernels (layer ``gpu.compute``) and fault recoveries (layer
@@ -122,11 +126,17 @@ class Trace:
     GPU copies and imported rows are recorded with :meth:`add`; the
     other events are derived from spans (:func:`derive_events`) when
     :attr:`events` is read, after the run (an open span would derive a
-    zero duration).  No span matches a copy event: a blocking copy's
-    event sits inside ``cudaMemcpy`` and matches none of its stage
-    spans, the ``gpu.copy`` span also covers the DMA retries, and
-    neither carries ``memory`` or ``managed``.  A kind with recorded
-    events derives none: an imported trace keeps exactly its rows.
+    zero duration, so a list built while one is open is not kept).  No
+    span matches a copy event: a blocking copy's event sits inside
+    ``cudaMemcpy`` and matches none of its stage spans, the
+    ``gpu.copy`` span also covers the DMA retries, and neither carries
+    ``memory`` or ``managed``.  A kind with recorded events derives
+    none: an imported trace keeps exactly its rows.
+
+    Reads that need no derived event build none: :meth:`of_kind` of a
+    kind no span derives (copies) reads the recorded events, and
+    :meth:`span_ns` reads span bounds, so a finished trace that is only
+    asked for those keeps no derived-event list.
     """
 
     def __init__(self, label: str = "") -> None:
@@ -147,13 +157,15 @@ class Trace:
 
     @property
     def events(self) -> List[TraceEvent]:
-        """Recorded events, then the derived ones; rebuilt only when an
-        event or span was added since the last read."""
+        """Recorded events, then the derived ones; rebuilt when an
+        event or span was added since the last read, or when a span
+        was open at that read."""
         key = (len(self._recorded), len(self.spans))
         if key != self._derived_at:
             recorded = {e.kind for e in self._recorded}
             derived = [e for e in derive_events(self.spans) if e.kind not in recorded]
-            self._events, self._derived_at = self._recorded + derived, key
+            self._events = self._recorded + derived
+            self._derived_at = None if self.spans.has_open else key
         return self._events
 
     def __len__(self) -> int:
@@ -165,7 +177,8 @@ class Trace:
     # -- queries -----------------------------------------------------------
 
     def of_kind(self, kind: EventKind) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind is kind]
+        events = self.events if kind in _DERIVED_KINDS else self._recorded
+        return [e for e in events if e.kind is kind]
 
     def launches(self) -> List[TraceEvent]:
         return self.of_kind(EventKind.LAUNCH)
@@ -193,12 +206,17 @@ class Trace:
         return sum(e.duration_ns for e in events)
 
     def span_ns(self) -> int:
-        """Wall-clock span from first event start to last event end."""
-        if not self.events:
-            return 0
-        return max(e.end_ns for e in self.events) - min(
-            e.start_ns for e in self.events
-        )
+        """Wall-clock span from first event start to last event end,
+        read from the recorded events and the spans that derive one."""
+        recorded = {e.kind for e in self._recorded}
+        starts = [e.start_ns for e in self._recorded]
+        ends = [e.end_ns for e in self._recorded]
+        for span in self.spans:
+            kind = LAYER_EVENT_KINDS.get(span.layer) or API_EVENT_KINDS.get(span.name)
+            if kind is not None and kind not in recorded:
+                starts.append(span.start_ns)
+                ends.append(span.end_ns)
+        return max(ends) - min(starts) if starts else 0
 
     def sorted_by_start(self) -> List[TraceEvent]:
         return sorted(self.events, key=lambda e: (e.start_ns, e.end_ns))
@@ -315,7 +333,7 @@ class Trace:
 
         counter_rows = []
         for metric in self.metrics.sampled():
-            for t_ns, value in metric.series:
+            for t_ns, value in zip(metric.times, metric.values):
                 counter_rows.append(
                     {
                         "name": metric.name,

@@ -18,12 +18,16 @@ Checked invariants:
   span id (parents must appear before children is *not* required —
   only referential integrity);
 * "C" rows carry a string ``name``, numeric ``ts`` and ``args.value``;
-* "M" rows carry a string ``name``.
+* "M" rows carry a string ``name``;
+* every number is finite: a checked field holding NaN or an infinity
+  is reported, and so is any ``NaN``/``Infinity`` token in JSON text
+  (strict JSON parsers reject them).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, List, Union
 
 from .importers import TraceImportError
@@ -35,27 +39,38 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value: Any) -> bool:
-    return isinstance(value, _NUMBER) and not isinstance(value, bool)
+def _is_finite(value: Any) -> bool:
+    return (
+        isinstance(value, _NUMBER) and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
 
 
 def validate_chrome_trace(payload: Union[str, dict, list]) -> List[str]:
     """Return a list of schema violations (empty when valid)."""
+    errors: List[str] = []
     if isinstance(payload, str):
+        constants: List[str] = []
         try:
-            payload = json.loads(payload)
+            payload = json.loads(
+                payload, parse_constant=lambda c: constants.append(c) or float(c)
+            )
         except json.JSONDecodeError as exc:
             return [f"invalid JSON: {exc}"]
+        if constants:
+            errors.append(
+                f"{len(constants)} non-finite number(s) "
+                f"({', '.join(sorted(set(constants)))}), not valid JSON"
+            )
     if isinstance(payload, dict):
         rows = payload.get("traceEvents")
     elif isinstance(payload, list):
         rows = payload
     else:
-        return ["top level must be an object or array"]
+        return errors + ["top level must be an object or array"]
     if not isinstance(rows, list):
-        return ["missing traceEvents array"]
+        return errors + ["missing traceEvents array"]
 
-    errors: List[str] = []
     span_ids = set()
     span_parents = []  # (row index, parent id) checked after the scan
     for index, row in enumerate(rows):
@@ -74,11 +89,11 @@ def validate_chrome_trace(payload: Union[str, dict, list]) -> List[str]:
         if phase == "C":
             if not isinstance(row.get("name"), str):
                 errors.append(f"{where}: counter row without a name")
-            if not _is_number(row.get("ts")):
-                errors.append(f"{where}: counter row with non-numeric ts")
+            if not _is_finite(row.get("ts")):
+                errors.append(f"{where}: counter row without a finite numeric ts")
             args = row.get("args")
-            if not isinstance(args, dict) or not _is_number(args.get("value")):
-                errors.append(f"{where}: counter row without numeric value")
+            if not isinstance(args, dict) or not _is_finite(args.get("value")):
+                errors.append(f"{where}: counter row without a finite numeric value")
             continue
         if phase != "X":
             continue  # other phases are legal Chrome trace, unchecked
@@ -86,10 +101,10 @@ def validate_chrome_trace(payload: Union[str, dict, list]) -> List[str]:
             errors.append(f"{where}: event without a name")
         if not isinstance(row.get("cat"), str):
             errors.append(f"{where}: event without a category")
-        if not _is_number(row.get("ts")):
-            errors.append(f"{where}: non-numeric ts")
-        if not _is_number(row.get("dur")) or row.get("dur", 0) < 0:
-            errors.append(f"{where}: missing or negative dur")
+        if not _is_finite(row.get("ts")):
+            errors.append(f"{where}: ts is not a finite number")
+        if not _is_finite(row.get("dur")) or row.get("dur", 0) < 0:
+            errors.append(f"{where}: missing, non-finite or negative dur")
         if "pid" in row and not _is_int(row["pid"]):
             errors.append(f"{where}: pid must be an integer")
         if "tid" in row and not _is_int(row["tid"]):

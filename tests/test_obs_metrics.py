@@ -1,7 +1,11 @@
 """Tests for the metrics registry: counters, gauges, histograms,
 clock binding, and trace-import restore."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry, percentile
 
@@ -139,6 +143,14 @@ def test_histogram_rejects_nan_observation():
     assert hist.values == []
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_histogram_rejects_infinite_observation(value):
+    hist = MetricsRegistry().histogram("lat")
+    with pytest.raises(ValueError, match="infinite"):
+        hist.observe(value)
+    assert hist.values == []
+
+
 def test_histogram_summary_single_sample():
     reg = MetricsRegistry()
     hist = reg.histogram("one")
@@ -159,3 +171,66 @@ def test_histogram_summary_all_equal_samples():
     assert summary["mean"] == 2.5
     assert summary["min"] == summary["max"] == 2.5
     assert summary["p50"] == summary["p95"] == summary["p99"] == 2.5
+
+
+@pytest.mark.parametrize("delta", [-7, -0.5, float("nan"), math.inf, True])
+def test_counter_rejects_negative_non_finite_and_bool_deltas(delta):
+    reg = MetricsRegistry()
+    counter = reg.counter("c")
+    counter.inc(5)
+    with pytest.raises(ValueError, match="counter 'c'"):
+        counter.inc(delta)
+    assert counter.value == 5
+    assert counter.series == [(0, 5)]
+
+
+@pytest.mark.parametrize("value", [float("nan"), math.inf, -math.inf])
+def test_gauge_rejects_non_finite_values(value):
+    reg = MetricsRegistry()
+    gauge = reg.gauge("g")
+    with pytest.raises(ValueError, match="gauge 'g'"):
+        gauge.set(value)
+    assert gauge.series == []
+    assert gauge.value == 0
+
+
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 1000),
+        st.one_of(st.integers(0, 2**40), st.floats(0, 1e12)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_STEPS, _STEPS)
+def test_sample_columns_match_tuple_reference(inc_steps, set_steps):
+    """Counter and gauge columns read back exactly what a plain
+    ``[(t, v), ...]`` list records, and survive ``import_series``."""
+    clock = FakeClock()
+    reg = MetricsRegistry(clock=clock)
+    counter, gauge = reg.counter("c"), reg.gauge("g")
+    counted, gauged = [], []
+    for dt, delta in inc_steps:
+        clock.now += dt
+        counter.inc(delta)
+        if delta:
+            counted.append((clock.now, (counted[-1][1] if counted else 0) + delta))
+    for dt, value in set_steps:
+        clock.now += dt
+        gauge.set(value)
+        gauged.append((clock.now, value))
+    assert counter.series == counted
+    assert counter.value == (counted[-1][1] if counted else 0)
+    assert gauge.series == gauged
+    assert gauge.value == (gauged[-1][1] if gauged else 0)
+    assert gauge.max() == max((v for _, v in gauged), default=0)
+
+    clone = MetricsRegistry()
+    clone.import_series("c", "counter", counter.series)
+    clone.import_series("g", "gauge", gauge.series)
+    assert clone.counter("c").series == counted
+    assert clone.counter("c").value == counter.value
+    assert clone.gauge("g").series == gauged
+    assert (clone.gauge("g").value, clone.gauge("g").max()) == (gauge.value, gauge.max())

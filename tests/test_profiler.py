@@ -20,6 +20,7 @@ from repro.profiler import (
     ratio_of_totals,
     render_ascii,
     tree_from_spans,
+    validate_chrome_trace,
 )
 
 
@@ -101,6 +102,25 @@ def test_chrome_trace_export_valid_json():
     assert process["args"]["name"] == "sample"
     copy = next(e for e in x_rows if e["name"].startswith("memcpy"))
     assert copy["args"]["copy_kind"] == "d2h"
+
+
+def test_validator_reports_non_finite_numbers():
+    rows = [
+        {"ph": "C", "name": "g", "cat": "gauge", "ts": 0.0, "pid": 1,
+         "args": {"value": float("nan")}},
+        {"ph": "X", "name": "k", "cat": "kernel", "ts": float("inf"),
+         "dur": 1.0, "pid": 1, "tid": 4, "args": {"x": -float("inf")}},
+    ]
+    errors = validate_chrome_trace(json.dumps({"traceEvents": rows}))
+    assert errors == [
+        "3 non-finite number(s) (-Infinity, Infinity, NaN), not valid JSON",
+        "traceEvents[0]: counter row without a finite numeric value",
+        "traceEvents[1]: ts is not a finite number",
+    ]
+    # Parsed rows are checked field by field.
+    assert validate_chrome_trace({"traceEvents": rows}) == errors[1:]
+    # A clean export stays clean.
+    assert validate_chrome_trace(_sample_trace().to_chrome_trace()) == []
 
 
 # --- statistics ----------------------------------------------------------
