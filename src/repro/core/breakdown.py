@@ -1,9 +1,10 @@
 """End-to-end wall-clock attribution by activity class (Fig. 1).
 
-Attributes every nanosecond of an application's timeline to exactly
-one category with a fixed priority order (kernel execution wins over
-queuing, etc.), producing the paper's Fig.-1 style stacked overview of
-where time goes under CC-off / CC-on / CC-on+UVM.
+Attributes every nanosecond of an application's span to exactly one
+category with a fixed priority order (kernel execution wins over
+queuing, etc.) with :func:`repro.core.intervals.carve`, producing the
+paper's Fig.-1 style stacked overview of where time goes under
+CC-off / CC-on / CC-on+UVM.
 """
 
 from __future__ import annotations
@@ -47,13 +48,18 @@ class Breakdown:
 
 
 def breakdown(trace: Trace) -> Breakdown:
-    """Attribute the trace span across CATEGORIES by priority."""
+    """Attribute the trace span across CATEGORIES by priority.
+
+    Queue windows that start before the first event are clipped to the
+    span, so the categories always sum to ``span_ns``.
+    """
     if not trace.events:
         return Breakdown(0, {cat: 0 for cat in CATEGORIES})
     span_start = min(e.start_ns for e in trace.events)
     span_end = max(e.end_ns for e in trace.events)
 
-    raw: Dict[str, List[Tuple[int, int]]] = {cat: [] for cat in CATEGORIES}
+    # Every category but the last, "idle", claims time by priority.
+    raw: Dict[str, List[Tuple[int, int]]] = {cat: [] for cat in CATEGORIES[:-1]}
     for event in trace.events:
         if event.kind is EventKind.KERNEL:
             raw["kernel"].append((event.start_ns, event.end_ns))
@@ -76,13 +82,9 @@ def breakdown(trace: Trace) -> Breakdown:
         elif event.kind is EventKind.RECOVERY:
             raw["recovery"].append((event.start_ns, event.end_ns))
 
-    claimed: List[Tuple[int, int]] = []
-    result: Dict[str, int] = {}
-    for category in CATEGORIES:
-        if category == "idle":
-            continue
-        remaining = intervals.subtract(raw[category], claimed)
-        result[category] = intervals.total_length(remaining)
-        claimed = intervals.merge(claimed + remaining)
-    result["idle"] = (span_end - span_start) - intervals.total_length(claimed)
+    result = {cat: 0 for cat in CATEGORIES}
+    for start, end, cat in intervals.carve(
+        span_start, span_end, list(raw.items()), "idle"
+    ):
+        result[cat] += end - start
     return Breakdown(span_end - span_start, result)

@@ -1,8 +1,10 @@
 """Interval arithmetic for timeline attribution.
 
 The performance model (Sec. V) needs to know how much of one activity
-class overlaps another (the alpha and beta_i parameters).  These
-helpers operate on half-open integer intervals [start, end).
+class overlaps another (the alpha and beta_i parameters); the
+attribution views give each instant to one class by priority
+(:func:`carve`).  These helpers operate on half-open integer intervals
+[start, end).
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from typing import Iterable, List, Sequence, Tuple
 
 Interval = Tuple[int, int]
+Segment = Tuple[int, int, str]
+Layer = Tuple[str, Iterable[Interval]]
 
 
 def merge(intervals: Iterable[Interval]) -> List[Interval]:
@@ -59,24 +63,6 @@ def union_overlap(
     )
 
 
-def intersect(
-    intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
-) -> List[Interval]:
-    """Portions of union(a) also covered by union(b)."""
-    result: List[Interval] = []
-    merged_b = merge(intervals_b)
-    index = 0
-    for start, end in merge(intervals_a):
-        while index < len(merged_b) and merged_b[index][1] <= start:
-            index += 1
-        probe = index
-        while probe < len(merged_b) and merged_b[probe][0] < end:
-            b_start, b_end = merged_b[probe]
-            result.append((max(start, b_start), min(end, b_end)))
-            probe += 1
-    return result
-
-
 def subtract(
     intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
 ) -> List[Interval]:
@@ -98,3 +84,41 @@ def subtract(
         if cursor < end:
             result.append((cursor, end))
     return result
+
+
+def carve(
+    lo: int, hi: int, layers: Sequence[Layer], rest: str
+) -> List[Segment]:
+    """Gap-free ``(start, end, label)`` segmentation of [lo, hi).
+
+    Each instant goes to the first ``(label, intervals)`` layer whose
+    intervals cover it, and to ``rest`` when none does.  Each layer is
+    merged and clipped to the window, the marks of all layers are
+    sorted once and swept once; adjacent segments with the same label
+    coalesce.
+    """
+    labels = [label for label, _ in layers]
+    marks: List[Tuple[int, int]] = []
+    for rank, (_, spans) in enumerate(layers):
+        bit = 1 << rank
+        for start, end in merge(spans):
+            start, end = max(start, lo), min(end, hi)
+            if start < end:
+                marks.append((start, bit))
+                marks.append((end, bit))
+    marks.sort()
+    marks.append((hi, 0))
+    # A layer's merged intervals never touch, so each of its marks
+    # flips its bit; the lowest set bit is the covering layer.
+    segments: List[Segment] = []
+    cursor, active = lo, 0
+    for at, bit in marks:
+        if at > cursor:
+            label = labels[(active & -active).bit_length() - 1] if active else rest
+            if segments and segments[-1][2] == label:
+                segments[-1] = (segments[-1][0], at, label)
+            else:
+                segments.append((cursor, at, label))
+            cursor = at
+        active ^= bit
+    return segments

@@ -66,7 +66,7 @@ def model_components(trace: Trace) -> Dict[str, int]:
     """The Sec.-V model terms, measured from one trace.
 
     T, D and recovery come from :func:`repro.core.model.decompose`;
-    L, Q and K from :mod:`repro.core.metrics`; E is the union of
+    L, Q and K from :mod:`repro.core.metrics`; E is the sum of
     crypto-flagged spans (AES-GCM staging, pushbuffer encryption,
     encrypted paging).  E overlaps T/L by construction — it answers
     "how much time went into software crypto", not "which wall-clock
@@ -232,10 +232,7 @@ def summarize(trace: Trace, top: int = 10) -> str:
 
     attributions = serve_attributions(trace)
     if attributions:
-        from ..serve.telemetry import (
-            ATTRIBUTION_COMPONENTS,
-            latency_percentiles,
-        )
+        from ..serve.telemetry import _component_sums, latency_percentiles
 
         pct = latency_percentiles(attributions)
         done = sum(1 for a in attributions if a.status == "completed")
@@ -251,13 +248,9 @@ def summarize(trace: Trace, top: int = 10) -> str:
             f"{pct['ttft_ms']['p99']:.2f} ms  "
             f"e2e p99 {pct['e2e_ms']['p99']:.2f} ms"
         )
-        sums = {c: 0 for c in ATTRIBUTION_COMPONENTS}
-        for attribution in attributions:
-            for component, value in attribution.components.items():
-                sums[component] += value
         lines.append("  request-time blame: " + ", ".join(
             f"{c}={units.to_ms(v):.2f}ms"
-            for c, v in sums.items() if v
+            for c, v in _component_sums(attributions).items() if v
         ))
 
     counters = [

@@ -52,7 +52,7 @@ JSONL/CSV exports — feeds ``repro serve report`` and the
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -64,7 +64,7 @@ from typing import (
 )
 
 from .. import units
-from ..core.intervals import Interval, intersect, merge, subtract
+from ..core.intervals import Interval, carve
 from ..profiler.collector import Trace
 from .slo import RequestOutcome, _latency_block
 
@@ -215,35 +215,17 @@ def component_timeline(
 ) -> List[Tuple[int, int, str]]:
     """A non-overlapping, gap-free component segmentation of [0, horizon).
 
-    Each tagged engine-op interval is refined with the stack's own
-    record — recovery events, kernel-execution events, crypto-flagged
-    spans, ``cudaLaunchKernel`` spans (in that priority) — and the
-    remainder falls to the op kind's base component.  Time covered by
-    no op (engine idle, allocation prologue, drain epilogue) becomes
-    ``other``.  Integer endpoints throughout, so clipping a request's
-    lifetime against the result is exact.
-
-    Near-linear: each refinement list is merged and keyed once, and an
-    op finds the intervals it touches with two bisections per list.
+    One :func:`repro.core.intervals.carve` of the run: time covered by
+    no op (engine idle, allocation prologue, drain epilogue) is
+    ``other``; inside an op the stack's own record claims time —
+    recovery events, kernel-execution events, crypto-flagged spans,
+    ``cudaLaunchKernel`` spans, in that priority — and the remainder
+    falls to the op kind's base component.  Integer endpoints
+    throughout, so clipping a request's lifetime against the result is
+    exact.  Raises :class:`TelemetryError` if two non-empty ops overlap.
     """
-    refinements = []
-    for component, intervals in (
-        ("recovery", ((e.start_ns, e.end_ns) for e in trace.recoveries())),
-        ("K", ((e.start_ns, e.end_ns) for e in trace.kernels())),
-        ("E", ((s.start_ns, s.end_ns) for s in trace.spans
-               if s.attrs.get("crypto"))),
-        ("L", ((s.start_ns, s.end_ns) for s in trace.spans
-               if s.name == "cudaLaunchKernel")),
-    ):
-        merged = merge(intervals)
-        refinements.append((
-            component,
-            merged,
-            [start for start, _ in merged],
-            [end for _, end in merged],
-        ))
-
-    timeline: List[Tuple[int, int, str]] = []
+    gaps: List[Interval] = []
+    by_base: Dict[str, List[Interval]] = {}
     cursor = 0
     for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
         start, end = op.start_ns, op.end_ns
@@ -251,30 +233,20 @@ def component_timeline(
             continue
         if start < cursor:
             raise TelemetryError(f"overlapping engine ops at {start} ns")
-        if start > cursor:
-            timeline.append((cursor, start, "other"))
-        remainder: List[Interval] = [(start, end)]
-        segments: List[Tuple[int, int, str]] = []
-        for component, merged, starts, ends in refinements:
-            # The merged intervals ending after the op starts and
-            # starting before it ends.
-            touched = merged[
-                bisect_right(ends, start):bisect_left(starts, end)
-            ]
-            if not touched:
-                continue
-            hit = intersect(remainder, touched)
-            if hit:
-                segments.extend((s, e, component) for s, e in hit)
-                remainder = subtract(remainder, hit)
-        base = OP_BASE_COMPONENT[op.kind]
-        segments.extend((s, e, base) for s, e in remainder)
-        segments.sort()
-        timeline.extend(segments)
+        gaps.append((cursor, start))
+        by_base.setdefault(OP_BASE_COMPONENT[op.kind], []).append((start, end))
         cursor = end
-    if cursor < horizon_ns:
-        timeline.append((cursor, horizon_ns, "other"))
-    return timeline
+    gaps.append((cursor, horizon_ns))
+    return carve(0, horizon_ns, [
+        ("other", gaps),
+        ("recovery", ((e.start_ns, e.end_ns) for e in trace.recoveries())),
+        ("K", ((e.start_ns, e.end_ns) for e in trace.kernels())),
+        ("E", ((s.start_ns, s.end_ns) for s in trace.spans
+               if s.attrs.get("crypto"))),
+        ("L", ((s.start_ns, s.end_ns) for s in trace.spans
+               if s.name == "cudaLaunchKernel")),
+        *by_base.items(),
+    ], "other")
 
 
 #: Per component of a timeline: its segments' starts and ends, and its

@@ -47,17 +47,23 @@ def test_subtract_none():
     assert intervals.subtract([(0, 10)], [(20, 30)]) == [(0, 10)]
 
 
-def test_intersect_clips_to_both():
-    assert intervals.intersect([(2, 7)], [(0, 4), (5, 9)]) == [(2, 4), (5, 7)]
-    assert intervals.intersect([(4, 9)], [(0, 4)]) == []
-    assert intervals.intersect([(0, 3), (5, 9)], [(2, 6)]) == [(2, 3), (5, 6)]
-
-
-def test_intersect_merges_its_inputs():
-    assert intervals.intersect([(5, 9), (0, 6)], [(8, 20), (1, 2)]) == [
-        (1, 2), (8, 9),
+def test_carve_priority_gaps_and_coalescing():
+    layers = [("k", [(2, 4), (6, 9)]), ("q", [(0, 7)]), ("c", [(8, 12)])]
+    assert intervals.carve(0, 10, layers, "idle") == [
+        (0, 2, "q"), (2, 4, "k"), (4, 6, "q"), (6, 9, "k"), (9, 10, "c"),
     ]
-    assert intervals.intersect([(0, 10)], []) == []
+    # Adjacent segments with one label coalesce; uncovered time is rest.
+    assert intervals.carve(0, 10, [("a", [(1, 3), (3, 5)])], "r") == [
+        (0, 1, "r"), (1, 5, "a"), (5, 10, "r"),
+    ]
+
+
+def test_carve_clips_to_the_window():
+    assert intervals.carve(5, 8, [("a", [(0, 6)]), ("b", [(7, 20)])], "r") == [
+        (5, 6, "a"), (6, 7, "r"), (7, 8, "b"),
+    ]
+    assert intervals.carve(5, 5, [("a", [(0, 9)])], "r") == []
+    assert intervals.carve(0, 3, [], "r") == [(0, 3, "r")]
 
 
 interval_list = st.lists(
@@ -99,15 +105,45 @@ def test_property_merge_is_disjoint_sorted(a):
         assert s < e
 
 
-@settings(max_examples=80, deadline=None)
-@given(a=interval_list, b=interval_list)
-def test_property_intersect_and_subtract_partition(a, b):
-    # A n B and A \ B are disjoint, sorted, and together cover A.
-    inter = intervals.intersect(a, b)
-    assert intervals.total_length(inter) == intervals.union_overlap(a, b)
-    for (s1, e1), (s2, e2) in zip(inter, inter[1:]):
-        assert e1 < s2
-    assert all(s < e for s, e in inter)
-    rest = intervals.subtract(a, b)
-    assert intervals.merge(inter + rest) == intervals.merge(a)
-    assert intervals.union_overlap(inter, rest) == 0
+#: Intervals that may reach outside the carve window (-50..1050).
+_wide_interval = st.tuples(
+    st.integers(min_value=-50, max_value=1050),
+    st.integers(min_value=-50, max_value=1050),
+).map(lambda t: (min(t), max(t)))
+
+
+@st.composite
+def _carve_case(draw):
+    labels = draw(st.lists(
+        st.sampled_from("abcdef"), min_size=0, max_size=5, unique=True,
+    ))
+    layers = [
+        (label, draw(st.lists(_wide_interval, max_size=6)))
+        for label in labels
+    ]
+    lo = draw(st.integers(min_value=0, max_value=1000))
+    hi = draw(st.integers(min_value=0, max_value=1000))
+    return lo, hi, layers
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_carve_case())
+def test_property_carve_matches_per_nanosecond_painter(case):
+    lo, hi, layers = case
+    segments = intervals.carve(lo, hi, layers, "rest")
+    painted = [
+        next(
+            (label for label, spans in layers
+             if any(s <= t < e for s, e in spans)),
+            "rest",
+        )
+        for t in range(lo, hi)
+    ]
+    assert [label for s, e, label in segments for _ in range(s, e)] == painted
+    cursor = lo
+    for start, end, _ in segments:
+        assert start == cursor < end
+        cursor = end
+    assert cursor == max(lo, hi)
+    for (_, _, left), (_, _, right) in zip(segments, segments[1:]):
+        assert left != right

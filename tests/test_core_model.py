@@ -1,13 +1,19 @@
 """Tests for the Sec.-V performance model and Fig.-1 breakdown."""
 
+from collections import Counter
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
 from repro.core import breakdown, decompose, kernel_to_launch_ratio
+from repro.core.breakdown import CATEGORIES
 from repro.core.metrics import copy_time_by_kind, launch_metrics, mgmt_time_by_api
 from repro.config import CopyKind
 from repro.cuda import run_app
 from repro.gpu import nanosleep_kernel
+from repro.profiler import EventKind, Trace, TraceEvent
 
 
 def sequential_app(rt):
@@ -135,8 +141,75 @@ def test_breakdown_kernel_share_dominates_sequential_app():
 
 
 def test_breakdown_empty_trace():
-    from repro.profiler import Trace
-
     result = breakdown(Trace())
     assert result.span_ns == 0
     assert result.share("kernel") == 0.0
+
+
+def test_breakdown_clips_queue_windows_to_the_span():
+    # A kernel queued 50 ns before the first event: the queue window
+    # starts outside the 10 ns span and must not be claimed there.
+    trace = Trace()
+    trace.add(TraceEvent(EventKind.KERNEL, "k", 100, 10, queue_ns=50))
+    result = breakdown(trace)
+    assert result.span_ns == 10
+    assert result.by_category_ns["kernel"] == 10
+    assert result.by_category_ns["kernel_queue"] == 0
+    assert result.by_category_ns["idle"] == 0
+
+
+#: Event kind -> (category, queue category) as breakdown reads them.
+_EVENT_CATEGORIES = {
+    EventKind.KERNEL: ("kernel", "kernel_queue"),
+    EventKind.LAUNCH: ("launch", "launch_queue"),
+    EventKind.MEMCPY: ("copy", None),
+    EventKind.ALLOC: ("mgmt", None),
+    EventKind.FREE: ("mgmt", None),
+    EventKind.SYNC: ("sync", None),
+    EventKind.RECOVERY: ("recovery", None),
+}
+
+_recorded_event = st.builds(
+    lambda kind, start, duration, queue: TraceEvent(
+        kind, kind.value, start, duration, queue_ns=queue
+    ),
+    st.sampled_from(sorted(_EVENT_CATEGORIES, key=lambda k: k.value)),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=20),
+    st.integers(min_value=0, max_value=30),
+)
+
+
+def _paint_categories(events):
+    """Per-nanosecond reference: each instant of the span goes to the
+    first category in CATEGORIES whose raw intervals cover it."""
+    raw = {category: [] for category in CATEGORIES}
+    for event in events:
+        category, queue_category = _EVENT_CATEGORIES[event.kind]
+        raw[category].append((event.start_ns, event.end_ns))
+        if queue_category:
+            raw[queue_category].append(
+                (event.start_ns - event.queue_ns, event.start_ns)
+            )
+    span_start = min(e.start_ns for e in events)
+    span_end = max(e.end_ns for e in events)
+    painted = Counter({category: 0 for category in CATEGORIES})
+    for t in range(span_start, span_end):
+        painted[next(
+            (c for c in CATEGORIES if any(s <= t < e for s, e in raw[c])),
+            "idle",
+        )] += 1
+    return dict(painted)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(_recorded_event, min_size=1, max_size=12))
+def test_property_breakdown_matches_per_nanosecond_painter(events):
+    trace = Trace()
+    for event in events:
+        trace.add(event)
+    result = breakdown(trace)
+    assert result.span_ns == trace.span_ns()
+    assert all(v >= 0 for v in result.by_category_ns.values())
+    assert sum(result.by_category_ns.values()) == result.span_ns
+    assert result.by_category_ns == _paint_categories(events)

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
-from repro.core.intervals import intersect, merge, subtract
+from repro.core import intervals
+from repro.core.intervals import merge, subtract
 from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
 from repro.figures.ext_fault_serving import spec_for as fault_spec_for
@@ -43,7 +44,6 @@ from repro.serve import (
     tenant_rollup,
     verdict_json,
 )
-from repro.serve import telemetry
 from repro.serve.telemetry import (
     OP_BASE_COMPONENT,
     _cumulative_index,
@@ -94,8 +94,6 @@ def base_run():
 def test_interval_helpers():
     # The attribution's interval algebra is repro.core.intervals.
     assert merge([(5, 9), (0, 3), (2, 4), (7, 7)]) == [(0, 4), (5, 9)]
-    assert intersect([(2, 7)], [(0, 4), (5, 9)]) == [(2, 4), (5, 7)]
-    assert intersect([(4, 9)], [(0, 4)]) == []
     assert subtract([(0, 10)], [(2, 4), (6, 8)]) == [
         (0, 2), (4, 6), (8, 10),
     ]
@@ -217,31 +215,20 @@ def test_attribution_matches_per_nanosecond_painter(case):
         assert sum(totals.values()) == hi - lo
 
 
-class _BisectCounter:
-    """Counts the attribution's bisections and the distinct key lists
-    they search; a key list rebuilt per call trips the bound at once."""
-
-    MAX_KEY_LISTS = 32
+class _SortCounter:
+    """Counts the intervals the attribution hands to ``intervals.merge``
+    (every interval ``carve`` sorts passes through it once)."""
 
     def __init__(self, monkeypatch):
-        self.calls = 0
-        self.key_lists = {}
-        for name in ("bisect_left", "bisect_right"):
-            monkeypatch.setattr(
-                telemetry, name, self._counted(getattr(telemetry, name))
-            )
+        self.sorted = 0
+        real = intervals.merge
 
-    def _counted(self, real):
-        def counted(keys, x):
-            self.calls += 1
-            # Holding each list keeps its id unique.
-            self.key_lists[id(keys)] = keys
-            assert len(self.key_lists) <= self.MAX_KEY_LISTS, (
-                "bisect keys rebuilt per call"
-            )
-            return real(keys, x)
+        def counted(spans):
+            spans = list(spans)
+            self.sorted += len(spans)
+            return real(spans)
 
-        return counted
+        monkeypatch.setattr(intervals, "merge", counted)
 
 
 def _synthetic_attribution(ops_count, monkeypatch):
@@ -270,7 +257,7 @@ def _synthetic_attribution(ops_count, monkeypatch):
             first_token_ns=arrival + 2000, finish_ns=arrival + 7000,
             prompt_tokens=1, gen_tokens=2,
         ))
-    counter = _BisectCounter(monkeypatch)
+    counter = _SortCounter(monkeypatch)
     attributions = attribute_requests(outcomes, tel, trace)
     assert len(attributions) == len(outcomes)
     for a in attributions:
@@ -279,14 +266,13 @@ def _synthetic_attribution(ops_count, monkeypatch):
     return counter
 
 
-def test_attribution_work_grows_linearly(monkeypatch):
+def test_attribution_sorts_each_interval_once(monkeypatch):
     small = _synthetic_attribution(10_000, monkeypatch)
     big = _synthetic_attribution(20_000, monkeypatch)
-    # Keys are built once per refinement list and per component, not
-    # per op; the number of bisections is linear in ops + requests.
-    assert len(big.key_lists) == len(small.key_lists)
-    assert big.calls <= 2 * small.calls
-    assert big.calls <= 16 * (20_000 + 20_000 // 100)
+    # One carve sorts each op, its gap and each stack interval once:
+    # the count at most doubles with the ops, it does not square.
+    assert 0 < small.sorted < big.sorted <= 2 * small.sorted
+    assert big.sorted <= 4 * 20_000
 
 
 @pytest.mark.parametrize("faulty", [False, True], ids=["clean", "faults"])
