@@ -25,7 +25,7 @@ simulated timing byte-identical (guarded by a benchmark test).
 """
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, percentile
-from .spans import CANONICAL_LAYERS, Span, SpanRecorder, layer_sort_key
+from .spans import CANONICAL_LAYERS, Span, SpanHandle, SpanRecorder, layer_sort_key
 
 __all__ = [
     "CANONICAL_LAYERS",
@@ -34,6 +34,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Span",
+    "SpanHandle",
     "SpanRecorder",
     "layer_sort_key",
     "percentile",

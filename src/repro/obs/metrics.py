@@ -1,7 +1,8 @@
 """Metrics registry: counters, gauges, and histograms in simulated time.
 
 Counters and gauges keep every sample, as two parallel columns
-(``times`` and ``values``), so they export as Chrome-trace counter
+(``times``, an ``array('q')`` of ints, and ``values``, a list that
+keeps each value's int or float type), so they export as Chrome-trace counter
 ("C"-phase) tracks next to the span timeline — bounce-pool occupancy,
 engine utilisation and launch-queue depth over the run, not just their
 final values.  ``series`` is a ``[(t_ns, value), ...]`` view built on
@@ -16,6 +17,7 @@ registry can never perturb simulated timings.
 from __future__ import annotations
 
 import math
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
@@ -48,10 +50,6 @@ class Metric:
         self.name = name
         self._registry = registry
 
-    def _now(self) -> int:
-        clock = self._registry._clock
-        return clock() if clock is not None else 0
-
 
 class _Sampled(Metric):
     """Base of the sampled instruments: the reads of their ``times``
@@ -74,7 +72,7 @@ class Counter(_Sampled):
 
     def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         super().__init__(name, registry)
-        self.times: List[int] = []
+        self.times = array("q")
         self.values: List[Number] = []
 
     def inc(self, delta: Number = 1) -> None:
@@ -85,7 +83,7 @@ class Counter(_Sampled):
             )
         if delta:
             values = self.values
-            self.times.append(self._now())
+            self.times.append(self._registry._clock())
             values.append(values[-1] + delta if values else delta)
 
 
@@ -96,7 +94,7 @@ class Gauge(_Sampled):
 
     def __init__(self, name: str, registry: "MetricsRegistry") -> None:
         super().__init__(name, registry)
-        self.times: List[int] = []
+        self.times = array("q")
         self.values: List[Number] = []
 
     def set(self, value: Number) -> None:
@@ -104,7 +102,7 @@ class Gauge(_Sampled):
             raise ValueError(
                 f"gauge {self.name!r}: value must be finite, not {value!r}"
             )
-        self.times.append(self._now())
+        self.times.append(self._registry._clock())
         self.values.append(value)
 
     def max(self) -> Number:
@@ -166,11 +164,16 @@ class Histogram(Metric):
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
 
 
+def _unbound_clock() -> int:
+    """The clock of a registry not yet bound to a simulator: time 0."""
+    return 0
+
+
 class MetricsRegistry:
     """Create-or-get registry of named metrics for one run."""
 
     def __init__(self, clock: Optional[Callable[[], int]] = None) -> None:
-        self._clock = clock
+        self._clock = clock if clock is not None else _unbound_clock
         self._metrics: Dict[str, Metric] = {}
 
     def bind_clock(self, clock: Callable[[], int]) -> None:
@@ -226,7 +229,7 @@ class MetricsRegistry:
     ) -> None:
         """Restore a counter/gauge sample series from a trace file."""
         metric = self._get(name, kind)
-        metric.times = [t for t, _ in samples]  # type: ignore[union-attr]
+        metric.times = array("q", [t for t, _ in samples])  # type: ignore[union-attr]
         metric.values = [v for _, v in samples]  # type: ignore[union-attr]
 
     def import_histogram(self, name: str, values: List[Number]) -> None:

@@ -32,7 +32,7 @@ that cycle one-directional.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..core.breakdown import CATEGORIES, breakdown
@@ -57,9 +57,7 @@ _COMPONENT_LABELS = {
 
 def crypto_ns(trace: Trace) -> int:
     """Total software-crypto time: sum of crypto-flagged spans."""
-    return sum(
-        s.duration_ns for s in trace.spans if s.attrs.get("crypto")
-    )
+    return sum(end - start for start, end in trace.spans.flagged("crypto"))
 
 
 def model_components(trace: Trace) -> Dict[str, int]:
@@ -97,15 +95,19 @@ class LayerRow:
 def layer_table(trace: Trace) -> List[LayerRow]:
     """Per-layer time table in taxonomy order."""
     busy = trace.spans.layer_busy_ns()
-    by_layer = trace.spans.by_layer()
+    totals: Dict[str, List[int]] = {}
+    for layer, _, duration, _ in trace.spans.scan(lambda name, layer, keys: layer):
+        row = totals.setdefault(layer, [0, 0])
+        row[0] += duration
+        row[1] += 1
     return [
         LayerRow(
             layer=layer,
             busy_ns=busy[layer],
-            total_ns=sum(s.duration_ns for s in by_layer[layer]),
-            spans=len(by_layer[layer]),
+            total_ns=totals[layer][0],
+            spans=totals[layer][1],
         )
-        for layer in sorted(by_layer, key=layer_sort_key)
+        for layer in sorted(totals, key=layer_sort_key)
     ]
 
 
@@ -125,21 +127,22 @@ def serve_attributions(trace: Trace) -> List:
         RequestAttribution,
     )
 
+    def request_keys(name: str, layer: str, keys: Tuple[str, ...]) -> Optional[Tuple[str, ...]]:
+        return keys if layer == SERVE_REQUEST_LAYER and name == "request" else None
+
     attributions = []
-    for span in trace.spans:
-        if span.layer != SERVE_REQUEST_LAYER or span.name != "request":
-            continue
-        attrs = span.attrs
+    for keys, start, duration, values in trace.spans.scan(request_keys):
+        attrs = dict(zip(keys, values))
         attributions.append(
             RequestAttribution(
                 req_id=int(attrs["req"]),
                 tenant=str(attrs["tenant"]),
                 status=str(attrs["status"]),
                 cause=str(attrs["cause"]),
-                arrival_ns=span.start_ns,
+                arrival_ns=start,
                 admitted_ns=attrs["admitted_ns"],
                 first_token_ns=attrs["first_token_ns"],
-                finish_ns=span.end_ns,
+                finish_ns=start + duration,
                 prompt_tokens=int(attrs["prompt_tokens"]),
                 gen_tokens=int(attrs["gen_tokens"]),
                 preemptions=int(attrs["preemptions"]),
@@ -181,9 +184,7 @@ def serve_tail_diff(base_trace: Trace, cc_trace: Trace) -> Dict:
 
 def top_spans(trace: Trace, count: int = 10) -> List[Span]:
     """The ``count`` longest spans (ties broken by id for determinism)."""
-    return sorted(
-        trace.spans, key=lambda s: (-s.duration_ns, s.span_id)
-    )[:count]
+    return trace.spans.longest(count)
 
 
 def summarize(trace: Trace, top: int = 10) -> str:

@@ -18,7 +18,7 @@ import json
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.spans import Span, SpanRecorder
+from ..obs.spans import SpanRecorder
 from .events import EventKind, TraceEvent
 
 # Exported process id (one simulated application per trace).
@@ -80,7 +80,19 @@ DERIVED_SPAN_ATTRS: Dict[str, Tuple[str, ...]] = {
 _DERIVED_KINDS = frozenset(API_EVENT_KINDS.values()) | frozenset(LAYER_EVENT_KINDS.values())
 
 
-def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
+def _derived_kind(name: str, layer: str) -> Optional[EventKind]:
+    """The kind of event a span named ``name`` in ``layer`` derives."""
+    return LAYER_EVENT_KINDS.get(layer) or API_EVENT_KINDS.get(name)
+
+
+def _derived_shape(
+    name: str, layer: str, keys: Tuple[str, ...]
+) -> Optional[Tuple[EventKind, str, Tuple[str, ...]]]:
+    kind = _derived_kind(name, layer)
+    return None if kind is None else (kind, name, keys)
+
+
+def derive_events(spans: SpanRecorder) -> List[TraceEvent]:
     """The events of the CUDA API calls (:data:`API_EVENT_KINDS`),
     kernels (layer ``gpu.compute``) and fault recoveries (layer
     ``recovery``) among ``spans``, in record order.  A launch's LQT is
@@ -90,34 +102,35 @@ def derive_events(spans: Iterable[Span]) -> List[TraceEvent]:
     """
     events = []
     last_launch_end: Optional[int] = None
-    for span in spans:
-        kind = LAYER_EVENT_KINDS.get(span.layer) or API_EVENT_KINDS.get(span.name)
-        if kind is None:
-            continue
+    for (kind, name, keys), start, duration, values in spans.scan(_derived_shape):
+        # Alloc, free and recovery spans carry exactly their event's attrs.
+        attrs = {} if kind is EventKind.SYNC else dict(zip(keys, values))
         if kind is EventKind.KERNEL:
-            attrs = span.attrs
             pages = attrs.get("faulted_pages")
             events.append(TraceEvent(
-                kind, span.name, span.start_ns, span.duration_ns,
+                kind, name, start, duration,
                 queue_ns=attrs["kqt_ns"], stream=attrs["stream"],
                 attrs={"uvm": pages is not None, "faulted_pages": pages or 0},
             ))
             continue
-        # Alloc, free and recovery spans carry exactly their event's attrs.
-        attrs = {} if kind is EventKind.SYNC else dict(span.attrs)
-        event = TraceEvent(kind, span.name, span.start_ns, span.duration_ns, attrs=attrs)
+        event = TraceEvent(kind, name, start, duration, attrs=attrs)
         if kind is EventKind.LAUNCH:
             if last_launch_end is not None:
-                event.queue_ns = max(0, span.start_ns - last_launch_end)
-            last_launch_end = span.end_ns
+                event.queue_ns = max(0, start - last_launch_end)
+            last_launch_end = start + duration
             event.name = (
-                attrs.pop("kernel") if span.name == "cudaLaunchKernel"
+                attrs.pop("kernel") if name == "cudaLaunchKernel"
                 else f"graph[{attrs.pop('nodes')}]"
             )
             event.stream = attrs.pop("stream")
             attrs.setdefault("first", False)
         events.append(event)
     return events
+
+
+def _request_id_at(name: str, layer: str, keys: Tuple[str, ...]) -> Optional[int]:
+    """Where a serving request span keeps its request id."""
+    return keys.index("req") if layer == "serve.req" and "req" in keys else None
 
 
 class Trace:
@@ -135,8 +148,8 @@ class Trace:
 
     Reads that need no derived event build none: :meth:`of_kind` of a
     kind no span derives (copies) reads the recorded events, and
-    :meth:`span_ns` reads span bounds, so a finished trace that is only
-    asked for those keeps no derived-event list.
+    :meth:`span_ns` scans the span columns, so a finished trace that is
+    only asked for those keeps no derived-event list.
     """
 
     def __init__(self, label: str = "") -> None:
@@ -211,11 +224,14 @@ class Trace:
         recorded = {e.kind for e in self._recorded}
         starts = [e.start_ns for e in self._recorded]
         ends = [e.end_ns for e in self._recorded]
-        for span in self.spans:
-            kind = LAYER_EVENT_KINDS.get(span.layer) or API_EVENT_KINDS.get(span.name)
-            if kind is not None and kind not in recorded:
-                starts.append(span.start_ns)
-                ends.append(span.end_ns)
+
+        def derives(name: str, layer: str, keys: Tuple[str, ...]) -> Optional[bool]:
+            kind = _derived_kind(name, layer)
+            return True if kind is not None and kind not in recorded else None
+
+        for _, start, duration, _ in self.spans.scan(derives):
+            starts.append(start)
+            ends.append(start + duration)
         return max(ends) - min(starts) if starts else 0
 
     def sorted_by_start(self) -> List[TraceEvent]:
@@ -286,9 +302,7 @@ class Trace:
         # reconstructs spans from args, not tids), so traces still
         # round-trip byte-identically.
         request_ids = sorted({
-            span.attrs["req"]
-            for span in self.spans
-            if span.layer == "serve.req" and "req" in span.attrs
+            values[at] for at, _, _, values in self.spans.scan(_request_id_at)
         })
         next_tid = max(
             list(layer_tids.values()) + [_FIRST_DYNAMIC_TID - 1]

@@ -90,17 +90,20 @@ def _import_span(trace: Trace, index: int, row: Dict) -> None:
             f"traceEvents[{index}]: {name!r} span lacks attrs {missing}"
         )
     parent = args.get("parent")
-    trace.spans.add(
-        Span(
-            span_id=span_id,
-            parent_id=int(parent) if parent is not None else None,
-            name=name,
-            layer=layer,
-            start_ns=start_ns,
-            duration_ns=duration_ns,
-            attrs=attrs,
+    try:
+        trace.spans.add(
+            Span(
+                span_id=span_id,
+                parent_id=int(parent) if parent is not None else None,
+                name=name,
+                layer=layer,
+                start_ns=start_ns,
+                duration_ns=duration_ns,
+                attrs=attrs,
+            )
         )
-    )
+    except (TypeError, ValueError) as exc:
+        raise TraceImportError(f"traceEvents[{index}]: bad span row") from exc
 
 
 def from_chrome_trace(text: str, label: Optional[str] = None) -> Trace:

@@ -241,10 +241,10 @@ def component_timeline(
         ("other", gaps),
         ("recovery", ((e.start_ns, e.end_ns) for e in trace.recoveries())),
         ("K", ((e.start_ns, e.end_ns) for e in trace.kernels())),
-        ("E", ((s.start_ns, s.end_ns) for s in trace.spans
-               if s.attrs.get("crypto"))),
-        ("L", ((s.start_ns, s.end_ns) for s in trace.spans
-               if s.name == "cudaLaunchKernel")),
+        ("E", trace.spans.flagged("crypto")),
+        ("L", ((start, start + duration) for _, start, duration, _ in trace.spans.scan(
+            lambda name, layer, keys: True if name == "cudaLaunchKernel" else None
+        ))),
         *by_base.items(),
     ], "other")
 

@@ -19,7 +19,7 @@ from repro.core.intervals import merge, subtract
 from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
 from repro.figures.ext_fault_serving import spec_for as fault_spec_for
-from repro.obs import summary
+from repro.obs import SpanRecorder, summary
 from repro.profiler.importers import from_chrome_trace
 from repro.serve import (
     ATTRIBUTION_COMPONENTS,
@@ -102,7 +102,7 @@ def test_interval_helpers():
 
 def test_component_timeline_gap_fill_and_overlap_rejection():
     class EmptyTrace:
-        spans = ()
+        spans = SpanRecorder()
 
         def recoveries(self):
             return []
@@ -148,14 +148,12 @@ def _event(interval):
 def _fake_trace(refinements):
     """The four refinement streams, plus a span neither crypto nor a
     launch that the attribution must ignore."""
-    spans = [SimpleNamespace(start_ns=0, end_ns=HORIZON, name="cudaMemcpy",
-                             attrs={})]
-    spans += [SimpleNamespace(start_ns=s, end_ns=e, name="aes_gcm",
-                              attrs={"crypto": True})
-              for s, e in refinements["E"]]
-    spans += [SimpleNamespace(start_ns=s, end_ns=e, name="cudaLaunchKernel",
-                              attrs={})
-              for s, e in refinements["L"]]
+    spans = SpanRecorder()
+    spans.record("cudaMemcpy", "driver", 0, HORIZON)
+    for s, e in refinements["E"]:
+        spans.record("aes_gcm", "td", s, e - s, crypto=True)
+    for s, e in refinements["L"]:
+        spans.record("cudaLaunchKernel", "driver", s, e - s)
     return SimpleNamespace(
         recoveries=lambda: [_event(iv) for iv in refinements["recovery"]],
         kernels=lambda: [_event(iv) for iv in refinements["K"]],
@@ -244,10 +242,10 @@ def _synthetic_attribution(ops_count, monkeypatch):
                             for i in range(0, ops_count, 50)],
         kernels=lambda: [_event((10 * i + 2, 10 * i + 5))
                          for i in range(ops_count)],
-        spans=[SimpleNamespace(start_ns=10 * i + 4, end_ns=10 * i + 7,
-                               name="cudaLaunchKernel", attrs={})
-               for i in range(0, ops_count, 3)],
+        spans=SpanRecorder(),
     )
+    for i in range(0, ops_count, 3):
+        trace.spans.record("cudaLaunchKernel", "driver", 10 * i + 4, 3)
     outcomes = []
     for req_id in range(ops_count // 100):
         arrival = 1000 * req_id

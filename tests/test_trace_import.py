@@ -222,6 +222,20 @@ def test_malformed_inputs_rejected():
         ))
 
 
+@pytest.mark.parametrize("args", [
+    {"id": 1 << 63, "parent": None},
+    {"id": 1, "parent": -(1 << 63)},
+    {"id": 1, "parent": "root"},
+])
+def test_span_ids_outside_64_bits_rejected(args):
+    """Span ids live in 64-bit columns: one that does not fit fails
+    the import naming the row, not a later read."""
+    row = {"ph": "X", "cat": "span", "name": "s", "ts": 0, "dur": 1,
+           "args": {**args, "layer": "driver"}}
+    with pytest.raises(TraceImportError, match=r"traceEvents\[0\]: bad span row"):
+        from_chrome_trace(json.dumps([row]))
+
+
 @pytest.mark.parametrize("index, name, layer", [
     (0, "cudaLaunchKernel", "driver"),
     (1, "k", "gpu.compute"),
