@@ -12,14 +12,11 @@ from repro.config import CopyKind, MemoryKind, SystemConfig
 from repro.core import kernel_metrics, launch_metrics
 from repro.cuda import run_app
 from repro.cuda.transfers import achieved_bandwidth_gbps, plan_copy
-from repro.sim import Simulator
-from repro.tdx import GuestContext
 from repro.workloads import CATALOG
 
 
 def _cc_bandwidth(config, size=256 * units.MiB):
-    guest = GuestContext(Simulator(), config)
-    plan = plan_copy(config, guest, CopyKind.H2D, size, MemoryKind.PINNED, cold=False)
+    plan = plan_copy(config, CopyKind.H2D, size, MemoryKind.PINNED, cold=False)
     return achieved_bandwidth_gbps(plan, size)
 
 

@@ -368,6 +368,15 @@ class SystemConfig:
         """Cost of one guest->host transition in the current mode."""
         return self.tdx.td_hypercall_ns if self.cc_on else self.tdx.hypercall_ns
 
+    def crypt_time_ns(self, size: int, algorithm: Optional[str] = None) -> int:
+        """Guest software-crypto time for ``size`` bytes (OpenSSL
+        AES-GCM with AES-NI, Sec. II-A): the single-core model of
+        ``cpu.crypto_cpu``, split over ``tdx.crypto_threads``."""
+        single = crypto_throughput.crypt_time_ns(
+            size, algorithm or self.tdx.transfer_cipher, self.cpu.crypto_cpu
+        )
+        return max(1, single // max(1, self.tdx.crypto_threads))
+
 
 def resolve_system_configs(
     cc: bool = False,

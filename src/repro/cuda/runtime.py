@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Generator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
@@ -34,6 +34,7 @@ from ..faults import (
 from ..gpu import GPU, KernelCommand, KernelSpec
 from ..gpu.device import CopyCommand
 from ..mem.allocator import OutOfMemoryError
+from ..obs.spans import shaped_row
 from ..profiler import memcpy_event
 from ..sim import Event, Simulator
 from ..tdx import GuestContext
@@ -87,6 +88,15 @@ def outstanding(*events: Optional[Event]) -> List[Event]:
     return pending
 
 
+class _CopyRecipe(NamedTuple):
+    """What a copy of one ``(copy_kind, size, memory, cold)`` key always
+    is: its cost plan and its stage spans as pre-shaped rows, each
+    placed relative to the copy's start."""
+
+    plan: TransferPlan
+    rows: Tuple[Tuple[Any, ...], ...]
+
+
 @dataclass
 class CudaGraph:
     """An instantiated CUDA graph: a chain of kernel nodes."""
@@ -127,8 +137,13 @@ class CudaRuntime:
         # hands back the same object for a given name; resolving on use
         # keeps its register-on-lookup semantics observable).
         self._launch_depth_gauge = None
-        # Functional transfer crypto (independent of the timing model).
-        self._gcm = AESGCM(b"hcc-session-key!")  # 16-byte session key
+        # One recipe per distinct copy, planned on first use: the plan
+        # is a function of the key and the (frozen) config alone.
+        self._recipes: Dict[tuple, _CopyRecipe] = {}
+        # Functional transfer crypto (independent of the timing model),
+        # built by the first copy that carries a payload: its key
+        # schedule is pure Python, and timing runs carry none.
+        self._gcm: Optional[AESGCM] = None
         self._iv_counter = itertools.count(1)
 
     # ------------------------------------------------------------------
@@ -266,12 +281,15 @@ class CudaRuntime:
         """Encrypt into a bounce slot and decrypt on the far side,
         verifying integrity as the hardware would.  The slot is freed on
         every path — including a failed tag verification."""
+        gcm = self._gcm
+        if gcm is None:
+            gcm = self._gcm = AESGCM(b"hcc-session-key!")  # 16-byte session key
         iv = next(self._iv_counter).to_bytes(12, "big")
-        ciphertext, tag = self._gcm.encrypt(iv, data)
+        ciphertext, tag = gcm.encrypt(iv, data)
         slot = self.guest.bounce.alloc(max(len(ciphertext), 1))
         try:
             self.guest.bounce.stage(slot, ciphertext)
-            return self._gcm.decrypt(iv, self.guest.bounce.peek(slot), tag)
+            return gcm.decrypt(iv, self.guest.bounce.peek(slot), tag)
         finally:
             self.guest.bounce.free(slot)
 
@@ -289,6 +307,18 @@ class CudaRuntime:
                 cold = True
             buffer._last_dir = copy_kind
         return cold
+
+    def _plan_recipe(self, key: tuple) -> _CopyRecipe:
+        """Plan copy ``key`` = ``(copy_kind, size, memory, cold)`` and
+        shape its stage spans in this trace's recorder, once per key."""
+        plan = plan_copy(self.config, *key)
+        spans = self.guest.spans
+        rows = tuple(
+            shaped_row(spans, name, layer, offset, duration, **attrs)
+            for name, layer, offset, duration, attrs in plan.attribution(0, self._cc)
+        )
+        recipe = self._recipes[key] = _CopyRecipe(plan, rows)
+        return recipe
 
     def memcpy(
         self,
@@ -308,7 +338,8 @@ class CudaRuntime:
         stream = self.default_stream
         for event in outstanding(stream.tail, stream.awaited):
             yield event
-        plan = plan_copy(self.config, self.guest, copy_kind, size, memory, cold)
+        key = (copy_kind, size, memory, cold)
+        recipe = self._recipes.get(key) or self._plan_recipe(key)
         with self.guest.spans.span(
             "cudaMemcpy",
             "driver",
@@ -319,17 +350,17 @@ class CudaRuntime:
             yield engine
             try:
                 yield from self._copy_with_recovery(
-                    copy_kind, plan, size, memory, self.default_stream.id
+                    copy_kind, recipe, size, memory, self.default_stream.id
                 )
                 self._functional_transfer(dst, src, size)
             finally:
                 self.gpu.copy_engine(copy_kind).release(engine)
-        return plan
+        return recipe.plan
 
     def _copy_with_recovery(
         self,
         copy_kind: CopyKind,
-        plan: TransferPlan,
+        recipe: _CopyRecipe,
         size: int,
         memory: MemoryKind,
         stream_id: int,
@@ -344,6 +375,7 @@ class CudaRuntime:
         :class:`FatalCudaFault` (the engine is released by the caller).
         """
         guest = self.guest
+        plan = recipe.plan
         model = self.config.fault_model
         retry = self.config.retry
         degraded = False
@@ -390,10 +422,7 @@ class CudaRuntime:
                 managed=plan.managed_label,
             )
         )
-        for name, layer, stage_start, stage_ns, attrs in plan.attribution(
-            start, self.config.cc_on
-        ):
-            guest.spans.record(name, layer, stage_start, stage_ns, **attrs)
+        guest.spans.record_rows(recipe.rows, start)
         if plan.hypercalls:
             guest.metrics.counter("tdx.hypercalls").inc(plan.hypercalls)
         if self.config.cc_on and plan.cpu_ns:
@@ -421,8 +450,8 @@ class CudaRuntime:
         if size > dst.size or size > src.size:
             raise CudaError("copy larger than buffer")
         copy_kind, memory = self._infer_copy(dst, src)
-        cold = self._take_warmth(dst, src, copy_kind)
-        plan = plan_copy(self.config, self.guest, copy_kind, size, memory, cold)
+        key = (copy_kind, size, memory, self._take_warmth(dst, src, copy_kind))
+        plan = (self._recipes.get(key) or self._plan_recipe(key)).plan
         # API + synchronous CPU-resident portion.  The staging/crypto
         # work blocks the calling thread, so it is traced as its own
         # memcpy-staging event — this is the un-hideable part of an

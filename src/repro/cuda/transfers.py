@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
-from ..tdx import GuestContext
 
 
 @dataclass(frozen=True)
@@ -44,6 +43,8 @@ class TransferPlan:
         after it, and the DMA stage flush with the end, all inside
         ``[start_ns, start_ns + total_ns)`` — wall-clock faithful at
         the edges, overlapping in the middle like the real pipeline.
+        Shifting ``start_ns`` shifts every row and changes nothing
+        else, so a runtime lays the rows out once, at 0.
         """
         end_ns = start_ns + self.total_ns
         rows = []
@@ -77,7 +78,6 @@ def _pipeline_ns(stage_a_ns: int, stage_b_ns: int, chunks: int) -> int:
 
 def plan_copy(
     config: SystemConfig,
-    guest: GuestContext,
     copy_kind: CopyKind,
     size: int,
     memory: MemoryKind,
@@ -91,6 +91,9 @@ def plan_copy(
     microbenchmarks loop over a warmed buffer (``cold=False``), which
     is why Fig. 4a still shows ~3 GB/s while application copies
     (Fig. 5) are hit far harder — up to ~20x for 2dconv.
+
+    The plan is a function of the arguments alone (``config`` is
+    frozen), so a runtime plans each distinct copy once.
     """
     if size <= 0:
         return TransferPlan(0, 0, 0, 0, 0, False)
@@ -99,7 +102,7 @@ def plan_copy(
     if config.cc_on:
         if config.tdx.teeio:
             return _plan_teeio_host_copy(config, copy_kind, size, memory)
-        return _plan_cc_host_copy(config, guest, copy_kind, size, memory, cold)
+        return _plan_cc_host_copy(config, copy_kind, size, memory, cold)
     return _plan_base_host_copy(config, copy_kind, size, memory)
 
 
@@ -193,7 +196,6 @@ def _cc_fault_ramp_ns(
 
 def _plan_cc_host_copy(
     config: SystemConfig,
-    guest: GuestContext,
     copy_kind: CopyKind,
     size: int,
     memory: MemoryKind,
@@ -210,7 +212,7 @@ def _plan_cc_host_copy(
         config.tdx.bounce_chunk_overhead_ns
         * min(1.0, chunk / config.pcie.staging_chunk_bytes)
     )
-    crypto = guest.crypt_time_ns(chunk) + bounce_overhead
+    crypto = config.crypt_time_ns(chunk) + bounce_overhead
     dma = units.transfer_time_ns(chunk, _dma_bw(config, copy_kind))
     hypercalls = 3  # map + doorbell + completion are host-mediated
     setup = config.pcie.dma_setup_ns + hypercalls * config.hypercall_ns()

@@ -36,8 +36,7 @@ from .common import FigureResult, dispatch
 
 
 def _bandwidth(config: SystemConfig, size: int = 256 * units.MiB) -> float:
-    guest = GuestContext(Simulator(), config)
-    plan = plan_copy(config, guest, CopyKind.H2D, size, MemoryKind.PINNED, cold=False)
+    plan = plan_copy(config, CopyKind.H2D, size, MemoryKind.PINNED, cold=False)
     return achieved_bandwidth_gbps(plan, size)
 
 
@@ -410,11 +409,10 @@ def generate_model_load() -> FigureResult:
     chunks = units.pages(weight_bytes, chunk)
 
     def load_time(config: SystemConfig) -> int:
-        guest = GuestContext(Simulator(), config)
         total = 0
         for _ in range(chunks):
             plan = plan_copy(
-                config, guest, CopyKind.H2D, chunk, MemoryKind.PINNED,
+                config, CopyKind.H2D, chunk, MemoryKind.PINNED,
                 cold=False,
             )
             total += plan.total_ns

@@ -20,8 +20,6 @@ from ..cuda import run_app
 from ..cuda.transfers import achieved_bandwidth_gbps, plan_copy
 from ..core import kernel_metrics, launch_metrics
 from ..profiler import EventKind
-from ..sim import Simulator
-from ..tdx import GuestContext
 from ..workloads import CATALOG, FIG7_APPS, overlap_experiment
 
 
@@ -34,8 +32,7 @@ class ObservationResult:
 
 
 def _bandwidth(config, copy_kind, size, memory):
-    guest = GuestContext(Simulator(), config)
-    plan = plan_copy(config, guest, copy_kind, size, memory, cold=False)
+    plan = plan_copy(config, copy_kind, size, memory, cold=False)
     return achieved_bandwidth_gbps(plan, size)
 
 

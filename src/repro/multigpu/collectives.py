@@ -120,21 +120,18 @@ def hierarchical_all_reduce(
     """
     from ..config import CopyKind, MemoryKind
     from ..cuda.transfers import plan_copy
-    from ..sim import Simulator
-    from ..tdx import GuestContext
     from .links import LinkSpec as _LinkSpec
 
     link = link or _LinkSpec()
     island = MultiGPUNode(num_gpus=island_size, link=link)
-    guest = GuestContext(Simulator(), config)
 
     def pcie_hop_ns(bytes_: int) -> int:
         """GPU -> CPU -> GPU across the PCIe bridge."""
         d2h = plan_copy(
-            config, guest, CopyKind.D2H, bytes_, MemoryKind.PINNED, cold=False
+            config, CopyKind.D2H, bytes_, MemoryKind.PINNED, cold=False
         )
         h2d = plan_copy(
-            config, guest, CopyKind.H2D, bytes_, MemoryKind.PINNED, cold=False
+            config, CopyKind.H2D, bytes_, MemoryKind.PINNED, cold=False
         )
         return d2h.total_ns + h2d.total_ns
 

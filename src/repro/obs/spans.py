@@ -6,7 +6,7 @@ causality — the structural unit the paper's analysis needs to say
 ``dma_direct_alloc`` inside ``cudaLaunchKernel`` is charged to the TDX
 module, not the driver).
 
-Spans are recorded two ways:
+Spans are recorded three ways:
 
 * as a context manager (:meth:`SpanRecorder.span`) around generator
   code — the span stays open across simulation yields, so nested
@@ -14,7 +14,10 @@ Spans are recorded two ways:
   graph is folded from this tree);
 * retroactively (:meth:`SpanRecorder.record`) for operations whose
   duration is only known after the fact (hypercalls, fault-recovery
-  intervals, synthesized pipeline stages).
+  intervals, synthesized pipeline stages);
+* as pre-shaped rows (:meth:`SpanRecorder.record_rows`): completed
+  spans whose shape and values a hot call site built once
+  (:func:`shaped_row`), placed at a base time — a copy's stage spans.
 
 Open-span nesting is tracked per *scope* so concurrent simulation
 processes (the CPU thread vs. GPU engines) cannot misparent each
@@ -423,6 +426,29 @@ class SpanRecorder:
             self._seal()
         return handle
 
+    def record_rows(
+        self, rows: Tuple[Tuple[Any, ...], ...], base_ns: int, scope: str = "cpu"
+    ) -> None:
+        """Record completed pre-shaped rows (:func:`shaped_row`), each
+        starting at ``base_ns`` plus its offset, under the innermost
+        open span of ``scope``: the ids, parents, order and sealing of
+        one :meth:`record` per row, without building a shape, a values
+        tuple or a handle per row."""
+        stack = self._open.get(scope)
+        parent = stack[-1] if stack else _NO_PARENT
+        tail = self._tail_starts
+        for shape, values, offset_ns, duration_ns in rows:
+            tail_row = len(tail)
+            tail.append(base_ns + offset_ns)
+            self._tail_durations.append(duration_ns)
+            self._tail_parents.append(parent)
+            self._shapes.append(shape)
+            self._values.append(values)
+            if self._ids is not None:
+                self._take_id()
+            if tail_row >= _CHUNK:
+                self._seal()
+
     def add(self, span: Span) -> Span:
         """Append an externally built span (trace import), keeping the
         id counter ahead of every imported id.  Its id, parent id and
@@ -591,3 +617,19 @@ class SpanRecorder:
 
 def _layer_of(name: str, layer: str, keys: Tuple[str, ...]) -> str:
     return layer
+
+
+def shaped_row(
+    recorder: SpanRecorder,
+    name: str,
+    layer: str,
+    offset_ns: int,
+    duration_ns: int,
+    **attrs: Any,
+) -> Tuple[Any, ...]:
+    """One completed row for ``recorder.record_rows``: its shape
+    interned in ``recorder`` once, here, and its values as one tuple
+    every recording of the row shares; times are relative to the base
+    the rows are recorded at."""
+    shape = recorder._shape(name, layer, tuple(attrs))
+    return (shape, tuple(attrs.values()), offset_ns, duration_ns)

@@ -23,8 +23,6 @@ from typing import Dict, List
 from .. import units
 from ..config import CopyKind, MemoryKind, SystemConfig
 from ..cuda.transfers import plan_copy
-from ..sim import Simulator
-from ..tdx import GuestContext
 from .arrivals import ServeRequest, default_tenants, generate_arrivals
 from .lifecycle import DegradationPolicy
 from .scheduler import DEFAULT_KV_BUDGET_BYTES, SchedulerConfig
@@ -128,9 +126,8 @@ def predicted_step_cc_overhead_ns(
     token_bytes = max(64, 4 * decode_batch)
 
     def copy_ns(config: SystemConfig) -> int:
-        guest = GuestContext(Simulator(), config)
         plan = plan_copy(
-            config, guest, CopyKind.D2H, token_bytes,
+            config, CopyKind.D2H, token_bytes,
             MemoryKind.PINNED, cold=False,
         )
         return plan.total_ns

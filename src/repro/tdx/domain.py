@@ -20,7 +20,6 @@ from typing import Generator, Optional
 import numpy as np
 
 from ..config import SystemConfig
-from ..crypto import throughput as crypto_throughput
 from ..faults import HYPERCALL, FatalFault, FaultInjector
 from ..mem import BounceBufferPool, HostMemory
 from ..profiler import Trace
@@ -193,12 +192,7 @@ class GuestContext:
     # -- software crypto (OpenSSL AES-GCM with AES-NI, Sec. II-A) ------------
 
     def crypt_time_ns(self, size: int, algorithm: Optional[str] = None) -> int:
-        alg = algorithm or self.config.tdx.transfer_cipher
-        single = crypto_throughput.crypt_time_ns(
-            size, alg, self.config.cpu.crypto_cpu
-        )
-        threads = max(1, self.config.tdx.crypto_threads)
-        return max(1, single // threads)
+        return self.config.crypt_time_ns(size, algorithm)
 
     def encrypt(self, size: int, algorithm: Optional[str] = None) -> Generator:
         """Software-encrypt ``size`` bytes for PCIe transfer (CC only)."""

@@ -20,8 +20,6 @@ from ..config import CopyKind, MemoryKind, SystemConfig
 from ..cuda import CudaRuntime, run_app
 from ..cuda.transfers import achieved_bandwidth_gbps, plan_copy
 from ..gpu import nanosleep_kernel
-from ..sim import Simulator
-from ..tdx import GuestContext
 
 # Default size grid of Fig. 4a: 64 B to 1 GB in powers of 4.
 DEFAULT_SIZES = [64 * (4 ** i) for i in range(13)]  # 64 B ... 1 GiB
@@ -45,12 +43,11 @@ def bandwidth_sweep(
     points: List[BandwidthPoint] = []
     for cc in (False, True):
         config = SystemConfig.confidential() if cc else SystemConfig.base()
-        guest = GuestContext(Simulator(), config)
         for memory in (MemoryKind.PAGEABLE, MemoryKind.PINNED):
             for copy_kind in kinds:
                 for size in sizes:
                     plan = plan_copy(
-                        config, guest, copy_kind, size, memory, cold=False
+                        config, copy_kind, size, memory, cold=False
                     )
                     points.append(
                         BandwidthPoint(

@@ -4,9 +4,11 @@
 ``Span`` object (and one attribute dict) per span, as the recorder did
 before it stored rows in columns.  Random sequences of with-block
 spans across scopes, attributes set inside a block or deleted,
-exceptions, retroactive records and imported spans drive both; every query must
-answer the same, also mid-sequence while spans are open.  A last test
-bounds the heap a finished trace keeps per span.
+exceptions, retroactive records, pre-shaped rows and imported spans
+drive both; every query must answer the same, also mid-sequence while
+spans are open.  Pre-shaped rows must also seal the tail as one
+``record()`` per row does.  A last test bounds the heap a finished
+trace keeps per span.
 """
 
 import gc
@@ -14,6 +16,7 @@ import itertools
 import tracemalloc
 from typing import Any, Dict, List, Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +24,7 @@ from repro.config import SystemConfig
 from repro.core.intervals import union_length
 from repro.cuda import run_app
 from repro.obs import spans as spans_module
-from repro.obs.spans import Span, SpanRecorder, layer_sort_key
+from repro.obs.spans import Span, SpanRecorder, layer_sort_key, shaped_row
 from repro.profiler.collector import (
     API_EVENT_KINDS,
     LAYER_EVENT_KINDS,
@@ -250,7 +253,7 @@ def test_column_recorder_matches_reference(data):
         for _ in range(draw(st.integers(min_value=0, max_value=40))):
             op = draw(st.sampled_from(
                 ["enter", "enter", "exit", "raise", "tick", "set", "delete",
-                 "record", "add", "check"]
+                 "record", "rows", "add", "check"]
             ))
             scope = draw(st.sampled_from(SCOPES))
             stack = opened[scope]
@@ -301,6 +304,16 @@ def test_column_recorder_matches_reference(data):
                     ref.record(name, layer, start, duration, scope,
                                parents[1], **dict(attrs)),
                 ))
+            elif op == "rows":
+                base = draw(_small)
+                rows = []
+                for _ in range(draw(st.integers(min_value=0, max_value=3))):
+                    name, layer = draw(st.sampled_from(NAMES))
+                    attrs = _attrs_for(data, name)
+                    offset, duration = draw(_small), draw(_small)
+                    rows.append(shaped_row(col, name, layer, offset, duration, **attrs))
+                    ref.record(name, layer, base + offset, duration, scope, **attrs)
+                col.record_rows(tuple(rows), base, scope)
             elif op == "add":
                 name, layer = draw(st.sampled_from(NAMES))
                 span = Span(
@@ -322,6 +335,66 @@ def test_column_recorder_matches_reference(data):
         _assert_same(col, ref, pairs)
     finally:
         spans_module._CHUNK = chunk
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("imported", [False, True], ids=["implicit-ids", "after-add"])
+def test_record_rows_is_record_per_row(monkeypatch, chunk, imported):
+    """``record_rows`` appends what one ``record()`` per row appends:
+    the same rows, ids and parents, and the tail sealed at the same
+    rows, also once ``add()`` made the id column explicit."""
+    monkeypatch.setattr(spans_module, "_CHUNK", chunk)
+    clock = _Clock()
+    rows_side, record_side = SpanRecorder(clock), SpanRecorder(clock)
+    stage = (
+        ("memcpy.setup", "driver", 0, 7, {}),
+        ("memcpy.encrypt", "td", 7, 30, {"crypto": True}),
+        ("memcpy.dma", "dma", 20, 25, {}),
+    )
+    rows = tuple(
+        shaped_row(rows_side, name, layer, offset, duration, **attrs)
+        for name, layer, offset, duration, attrs in stage
+    )
+
+    def state(recorder):
+        # The raw columns and tail, read without sealing.
+        return (
+            recorder._sealed, recorder._starts.tolist(),
+            recorder._durations.tolist(), recorder._parents.tolist(),
+            recorder._tail_starts[:], recorder._tail_durations[:],
+            recorder._tail_parents[:], recorder._values[:],
+            [(shape.name, shape.layer, shape.keys) for shape in recorder._shapes],
+            None if recorder._ids is None else recorder._ids.tolist(),
+        )
+
+    for copy in range(7):
+        if imported and copy == 2:
+            for recorder in (rows_side, record_side):
+                recorder.add(Span(40, None, "imported", "driver", 0, 1, {}))
+        contexts = [
+            recorder.span("cudaMemcpy", "driver", bytes=copy)
+            for recorder in (rows_side, record_side)
+        ]
+        handles = [context.__enter__() for context in contexts]
+        assert handles[0].span_id == handles[1].span_id
+        clock.now += 5
+        # A varying number of rows already in the tail.
+        for recorder in (rows_side, record_side):
+            for hop in range(copy % 3):
+                recorder.record("vmcall", "tdx_module", clock.now, hop)
+        rows_side.record_rows(rows, clock.now)
+        for name, layer, offset, duration, attrs in stage:
+            record_side.record(name, layer, clock.now + offset, duration, **attrs)
+        assert state(rows_side) == state(record_side)
+        clock.now += 50
+        for context in contexts:
+            context.__exit__(None, None, None)
+        assert state(rows_side) == state(record_side)
+    assert list(rows_side) == list(record_side)
+    children = rows_side.children_of(handles[0].span_id)
+    assert [s.name for s in children] == [name for name, *_ in stage]
+    # Every copy's encrypt row holds the one values tuple of its row.
+    assert rows_side._values[-2] is rows[1][1]
 
 
 def test_retained_bytes_per_span():

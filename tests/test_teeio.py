@@ -9,8 +9,6 @@ from repro.config import CopyKind, MemoryKind, SystemConfig
 from repro.cuda import run_app
 from repro.cuda.transfers import achieved_bandwidth_gbps, plan_copy
 from repro.gpu import nanosleep_kernel
-from repro.sim import Simulator
-from repro.tdx import GuestContext
 
 
 def _teeio_config():
@@ -19,8 +17,7 @@ def _teeio_config():
 
 
 def _plan(config, memory=MemoryKind.PINNED, size=64 * units.MiB, cold=True):
-    guest = GuestContext(Simulator(), config)
-    return plan_copy(config, guest, CopyKind.H2D, size, memory, cold)
+    return plan_copy(config, CopyKind.H2D, size, memory, cold)
 
 
 def test_teeio_skips_software_crypto_and_bounce():

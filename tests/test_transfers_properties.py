@@ -9,20 +9,14 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config import CopyKind, MemoryKind, SystemConfig
 from repro.cuda.transfers import plan_copy
-from repro.sim import Simulator
-from repro.tdx import GuestContext
 
 BASE = SystemConfig.base()
 CC = SystemConfig.confidential()
 TEEIO = CC.replace(tdx=dataclasses.replace(CC.tdx, teeio=True))
-GUESTS = {
-    id(config): GuestContext(Simulator(), config)
-    for config in (BASE, CC, TEEIO)
-}
 
 
 def _plan(config, kind, size, memory, cold=True):
-    return plan_copy(config, GUESTS[id(config)], kind, size, memory, cold)
+    return plan_copy(config, kind, size, memory, cold)
 
 
 sizes = st.integers(min_value=1, max_value=2 * units.GiB)
@@ -89,6 +83,27 @@ def test_plan_parts_consistent(size, kind, memory):
 @settings(max_examples=40, deadline=None)
 @given(size=sizes)
 def test_d2d_mode_independent(size):
-    base = plan_copy(BASE, GUESTS[id(BASE)], CopyKind.D2D, size, MemoryKind.DEVICE)
-    cc = plan_copy(CC, GUESTS[id(CC)], CopyKind.D2D, size, MemoryKind.DEVICE)
+    base = plan_copy(BASE, CopyKind.D2D, size, MemoryKind.DEVICE)
+    cc = plan_copy(CC, CopyKind.D2D, size, MemoryKind.DEVICE)
     assert base.total_ns == cc.total_ns
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    config=st.sampled_from([BASE, CC, TEEIO]),
+    kind=st.sampled_from(list(CopyKind)),
+    memory=st.sampled_from(list(MemoryKind)),
+    size=st.integers(min_value=0, max_value=2 * units.GiB),
+    cold=st.booleans(),
+    start=st.integers(min_value=0, max_value=1 << 62),
+)
+def test_attribution_shifts_with_start(config, kind, memory, size, cold, start):
+    # A runtime lays a copy's stage rows out once, at 0, and records
+    # them at each copy's start: that is exact only if a later start
+    # shifts every row and changes nothing else.
+    plan = _plan(config, kind, size, memory, cold)
+    at_zero = plan.attribution(0, config.cc_on)
+    assert plan.attribution(start, config.cc_on) == [
+        (name, layer, offset + start, duration, attrs)
+        for name, layer, offset, duration, attrs in at_zero
+    ]
