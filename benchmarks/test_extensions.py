@@ -61,7 +61,8 @@ def test_observability_is_zero_overhead(monkeypatch):
         lambda self, *a, **kw: contextlib.nullcontext(SimpleNamespace(attrs={})),
     )
     monkeypatch.setattr(SpanRecorder, "record", lambda self, *a, **kw: None)
-    monkeypatch.setattr(SpanRecorder, "record_rows", lambda self, *a, **kw: None)
+    for entry in ("record_rows", "begin", "end", "set_attr"):
+        monkeypatch.setattr(SpanRecorder, entry, lambda self, *a, **kw: None)
     monkeypatch.setattr(Counter, "inc", lambda self, delta=1: None)
     monkeypatch.setattr(Gauge, "set", lambda self, value: None)
     monkeypatch.setattr(Histogram, "observe", lambda self, value: None)

@@ -340,12 +340,12 @@ class CudaRuntime:
             yield event
         key = (copy_kind, size, memory, cold)
         recipe = self._recipes.get(key) or self._plan_recipe(key)
-        with self.guest.spans.span(
-            "cudaMemcpy",
-            "driver",
-            bytes=size,
-            copy_kind=copy_kind.value,
-        ):
+        spans = self.guest.spans
+        row = spans.begin(
+            spans.shape("cudaMemcpy", "driver", "bytes", "copy_kind"),
+            (size, copy_kind.value),
+        )
+        try:
             engine = self.gpu.copy_engine(copy_kind).request()
             yield engine
             try:
@@ -355,6 +355,8 @@ class CudaRuntime:
                 self._functional_transfer(dst, src, size)
             finally:
                 self.gpu.copy_engine(copy_kind).release(engine)
+        finally:
+            spans.end(row)
         return recipe.plan
 
     def _copy_with_recovery(
@@ -543,15 +545,16 @@ class CudaRuntime:
                 "launch.queue_depth"
             )
         depth.set(self.gpu.launch_credits.in_use)
+        spans = self.guest.spans
         try:
             first = kernel.name not in self._seen_kernels
-            with self.guest.spans.span(
-                "cudaLaunchKernel",
-                "driver",
-                kernel=kernel.name,
-                stream=stream.id,
-                first=first,
-            ):
+            row = spans.begin(
+                spans.shape(
+                    "cudaLaunchKernel", "driver", "kernel", "stream", "first"
+                ),
+                (kernel.name, stream.id, first),
+            )
+            try:
                 if first:
                     yield from self._first_launch_setup(kernel)
                     self._seen_kernels.add(kernel.name)
@@ -561,6 +564,8 @@ class CudaRuntime:
                 yield self.guest.cpu_ns(base)
                 if self._cc:
                     yield from self._cc_launch_extra()
+            finally:
+                spans.end(row)
         except BaseException:
             # Driver-side failure (e.g. a fatal hypercall fault) before
             # the command reached the GPU: the queue credit must not
@@ -614,8 +619,14 @@ class CudaRuntime:
     def _cc_launch_extra(self) -> Generator:
         """Steady-state CC launch tax: packet crypto + rare hypercalls."""
         launch_cfg = self.config.launch
-        with self.guest.spans.span("cc_encrypt_pushbuffer", "td", crypto=True):
+        spans = self.guest.spans
+        row = spans.begin(
+            spans.shape("cc_encrypt_pushbuffer", "td", "crypto"), (True,)
+        )
+        try:
             yield self.guest.cpu_ns(launch_cfg.klo_cc_extra_ns)
+        finally:
+            spans.end(row)
         self._hypercall_accum += launch_cfg.hypercalls_per_launch
         while self._hypercall_accum >= 1.0:
             self._hypercall_accum -= 1.0
@@ -656,13 +667,17 @@ class CudaRuntime:
 
     def synchronize(self) -> Generator:
         """cudaDeviceSynchronize: wait for all streams."""
-        with self.guest.spans.span("cudaDeviceSynchronize", "driver"):
+        spans = self.guest.spans
+        row = spans.begin(spans.shape("cudaDeviceSynchronize", "driver"), ())
+        try:
             pending = outstanding(
                 *(e for s in self._streams for e in (s.tail, s.awaited))
             )
             if pending:
                 yield self.sim.all_of(pending)
             yield from self._sync_overhead()
+        finally:
+            spans.end(row)
         return None
 
     def _sync_overhead(self) -> Generator:

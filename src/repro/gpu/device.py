@@ -185,14 +185,13 @@ class GPU:
         inflight = self._gauge("gpu.compute_inflight")
         inflight.set(self.compute.in_use)
         try:
-            kqt = self.sim.now - command.enqueued_ns
-            with self.guest.spans.span(
-                command.kernel.name,
-                "gpu.compute",
-                scope=scope,
-                stream=command.stream,
-                kqt_ns=kqt,
-            ) as span:
+            spans = self.guest.spans
+            row = spans.begin(
+                spans.shape(command.kernel.name, "gpu.compute", "stream", "kqt_ns"),
+                (command.stream, self.sim.now - command.enqueued_ns),
+                scope,
+            )
+            try:
                 if command.managed_touches:
                     faulted_pages = 0
                     for handle, touched_bytes in command.managed_touches:
@@ -202,11 +201,13 @@ class GPU:
                         alloc = self.uvm.allocation(handle)
                         faulted_pages += migrated // max(alloc.chunk_bytes, 1)
                     # Present exactly on UVM kernels, even when 0.
-                    span.attrs["faulted_pages"] = faulted_pages
+                    spans.set_attr(row, "faulted_pages", faulted_pages)
                 # int(): a spec's fixed duration may be a float.
                 yield int(
                     command.kernel.base_duration_ns(self._gpu_spec, self._cc)
                 )
+            finally:
+                spans.end(row, scope)
         finally:
             self.compute.release(slot)
             inflight.set(self.compute.in_use)

@@ -6,18 +6,25 @@ causality — the structural unit the paper's analysis needs to say
 ``dma_direct_alloc`` inside ``cudaLaunchKernel`` is charged to the TDX
 module, not the driver).
 
-Spans are recorded three ways:
+Spans are recorded four ways:
 
 * as a context manager (:meth:`SpanRecorder.span`) around generator
   code — the span stays open across simulation yields, so nested
   driver and TDX calls hang off it as a call stack (the Fig. 8 flame
   graph is folded from this tree);
+* by row (:meth:`SpanRecorder.begin` / :meth:`SpanRecorder.end`): the
+  same open span for a hot call site, with a shape interned once
+  (:meth:`SpanRecorder.shape`) and its values as a positional tuple —
+  no kwargs dict, context object or shape match per span;
 * retroactively (:meth:`SpanRecorder.record`) for operations whose
   duration is only known after the fact (hypercalls, fault-recovery
   intervals, synthesized pipeline stages);
 * as pre-shaped rows (:meth:`SpanRecorder.record_rows`): completed
   spans whose shape and values a hot call site built once
   (:func:`shaped_row`), placed at a base time — a copy's stage spans.
+
+Every path appends through one private row append, so ids, parents,
+record order and sealing do not depend on how a span was recorded.
 
 Open-span nesting is tracked per *scope* so concurrent simulation
 processes (the CPU thread vs. GPU engines) cannot misparent each
@@ -40,9 +47,11 @@ and the aggregates built on it (:meth:`~SpanRecorder.layer_busy_ns`,
 the columns and build no per-span object.  Iteration and the tree
 queries return :class:`Span` *views*, values built on read (as
 ``Counter.series`` is); changing a view changes nothing recorded.
-Recording returns a live :class:`SpanHandle` instead: a with-block's
-handle is where a caller sets an attribute known only inside the
-block, and where it reads the final duration after the block.
+``span()`` and ``record()`` return a live :class:`SpanHandle`
+instead: a with-block's handle is where a caller sets an attribute
+known only inside the block, and where it reads the final duration
+after the block.  ``begin()`` returns the bare row, which
+:meth:`SpanRecorder.set_attr` and :meth:`SpanRecorder.end` take.
 
 Recording never touches the simulation clock — observability must not
 perturb the model (see ``benchmarks/test_extensions.py``).  A recorder
@@ -212,27 +221,14 @@ class _LiveAttrs(MutableMapping):
         return len(self._recorder._values[self._row])
 
     def __setitem__(self, key: str, value: Any) -> None:
-        recorder, row = self._recorder, self._row
-        shape, values = recorder._shapes[row], recorder._values[row]
-        if key in shape.keys:
-            at = shape.keys.index(key)
-            recorder._values[row] = values[:at] + (value,) + values[at + 1:]
-            return
-        # A key set after recording (a UVM kernel's faulted_pages).
-        wider = shape.wider.get(key)
-        if wider is None:
-            wider = shape.wider[key] = recorder._shape(
-                shape.name, shape.layer, shape.keys + (key,)
-            )
-        recorder._shapes[row] = wider
-        recorder._values[row] = values + (value,)
+        self._recorder.set_attr(self._row, key, value)
 
     def __delitem__(self, key: str) -> None:
         attrs = self._dict()
         del attrs[key]
         recorder, row = self._recorder, self._row
         shape = recorder._shapes[row]
-        recorder._shapes[row] = recorder._shape(shape.name, shape.layer, tuple(attrs))
+        recorder._shapes[row] = recorder.shape(shape.name, shape.layer, *attrs)
         recorder._values[row] = tuple(attrs.values())
 
     def __repr__(self) -> str:
@@ -241,64 +237,22 @@ class _LiveAttrs(MutableMapping):
 
 class _SpanContext(SpanHandle):
     """Class-based context manager for :meth:`SpanRecorder.span`, which
-    fills its slots; once entered it is the span's live handle.
-
-    ``span()`` sits on the per-launch hot path (~100k entries per
-    figure cell); a plain object with ``__enter__``/``__exit__`` avoids
-    the generator frame + ``contextlib`` dispatch per call.
+    fills its slots; once entered it is the span's live handle.  Its
+    row is opened and closed by :meth:`SpanRecorder.begin` and
+    :meth:`SpanRecorder.end`, as a hot call site's is.
     """
 
-    __slots__ = ("_name", "_layer", "_scope", "_attrs", "_stack", "_start")
+    __slots__ = ("_name", "_layer", "_scope", "_attrs")
 
     def __enter__(self) -> "_SpanContext":
         recorder = self._recorder
-        stack = recorder._open.get(self._scope)
-        if stack is None:
-            stack = recorder._open[self._scope] = []
-        self._start = start = recorder._clock()
-        # The row append, as in SpanRecorder.record (keep the two in
-        # step), inlined: this runs once per with-block span.  The
-        # values go in the shape's key order: the shape last recorded
-        # under this name is reused when attrs has exactly its keys
-        # (``take`` raises KeyError on a missing one), in any order.
-        attrs = self._attrs
-        shape = recorder._recent.get(self._name)
-        try:
-            size = shape.size
-            if len(attrs) != size or shape.layer != self._layer:
-                raise KeyError
-            values = (
-                shape.take(attrs) if size > 1
-                else (attrs[shape.keys[0]],) if size else ()
-            )
-        except (AttributeError, KeyError):
-            shape, values = recorder._new_shape(self._name, self._layer, attrs)
-        tail = recorder._tail_starts
-        tail_row = len(tail)
-        tail.append(start)
-        recorder._tail_durations.append(0)
-        recorder._tail_parents.append(stack[-1] if stack else _NO_PARENT)
-        recorder._shapes.append(shape)
-        recorder._values.append(values)
-        self._row = row = recorder._sealed + tail_row
-        self.span_id = span_id = (
-            row + 1 if recorder._ids is None else recorder._take_id()
-        )
-        stack.append(span_id)
-        if tail_row >= _CHUNK:
-            recorder._seal()
-        self._stack = stack
+        shape, values = recorder._shaped(self._name, self._layer, self._attrs)
+        self._row = recorder.begin(shape, values, self._scope)
+        self.span_id = recorder._open[self._scope][-1]
         return self
 
     def __exit__(self, *exc: Any) -> bool:
-        self._stack.pop()
-        recorder = self._recorder
-        duration = recorder._clock() - self._start
-        tail_row = self._row - recorder._sealed
-        if tail_row >= 0:
-            recorder._tail_durations[tail_row] = duration
-        else:
-            recorder._durations[self._row] = duration
+        self._recorder.end(self._row, self._scope)
         return False
 
 
@@ -399,31 +353,11 @@ class SpanRecorder:
             parent = stack[-1] if stack else _NO_PARENT
         elif not isinstance(parent, int):
             parent = parent.span_id
-        # The row append of _SpanContext.__enter__; keep the two in step.
-        shape = self._recent.get(name)
-        try:
-            size = shape.size
-            if len(attrs) != size or shape.layer != layer:
-                raise KeyError
-            values = (
-                shape.take(attrs) if size > 1
-                else (attrs[shape.keys[0]],) if size else ()
-            )
-        except (AttributeError, KeyError):
-            shape, values = self._new_shape(name, layer, attrs)
-        tail = self._tail_starts
-        tail_row = len(tail)
-        tail.append(start_ns)
-        self._tail_durations.append(duration_ns)
-        self._tail_parents.append(parent)
-        self._shapes.append(shape)
-        self._values.append(values)
+        shape, values = self._shaped(name, layer, attrs)
         handle = _new(SpanHandle)
         handle._recorder = self
-        handle._row = row = self._sealed + tail_row
-        handle.span_id = row + 1 if self._ids is None else self._take_id()
-        if tail_row >= _CHUNK:
-            self._seal()
+        handle._row = row = self._append(shape, values, start_ns, duration_ns, parent)
+        handle.span_id = row + 1 if self._ids is None else self._ids[row]
         return handle
 
     def record_rows(
@@ -436,18 +370,68 @@ class SpanRecorder:
         tuple or a handle per row."""
         stack = self._open.get(scope)
         parent = stack[-1] if stack else _NO_PARENT
-        tail = self._tail_starts
+        append = self._append
         for shape, values, offset_ns, duration_ns in rows:
-            tail_row = len(tail)
-            tail.append(base_ns + offset_ns)
-            self._tail_durations.append(duration_ns)
-            self._tail_parents.append(parent)
-            self._shapes.append(shape)
-            self._values.append(values)
-            if self._ids is not None:
-                self._take_id()
-            if tail_row >= _CHUNK:
-                self._seal()
+            append(shape, values, base_ns + offset_ns, duration_ns, parent)
+
+    def begin(
+        self, shape: _Shape, values: Tuple[Any, ...], scope: str = "cpu"
+    ) -> int:
+        """Open a span of an interned :meth:`shape` now, its ``values``
+        in the shape's key order, as the innermost open span of
+        ``scope``; returns its row for :meth:`end` and
+        :meth:`set_attr`.  What a with-block does on entry, without a
+        kwargs dict, a context object or a shape match."""
+        stack = self._open.get(scope)
+        if stack is None:
+            stack = self._open[scope] = []
+        row = self._append(
+            shape, values, self._clock(), 0, stack[-1] if stack else _NO_PARENT
+        )
+        stack.append(row + 1 if self._ids is None else self._ids[row])
+        return row
+
+    def end(self, row: int, scope: str = "cpu") -> None:
+        """Close the innermost open span of ``scope``, ``row`` (from
+        :meth:`begin`): its duration runs to now.  The row may have
+        been sealed while it was open."""
+        self._open[scope].pop()
+        tail_row = row - self._sealed
+        if tail_row >= 0:
+            self._tail_durations[tail_row] = (
+                self._clock() - self._tail_starts[tail_row]
+            )
+        else:
+            self._durations[row] = self._clock() - self._starts[row]
+
+    def set_attr(self, row: int, key: str, value: Any) -> None:
+        """Set attribute ``key`` of ``row``; a new key widens the row's
+        shape (a UVM kernel's ``faulted_pages``, known only inside
+        the span)."""
+        shape, values = self._shapes[row], self._values[row]
+        if key in shape.keys:
+            at = shape.keys.index(key)
+            self._values[row] = values[:at] + (value,) + values[at + 1:]
+            return
+        wider = shape.wider.get(key)
+        if wider is None:
+            wider = shape.wider[key] = self.shape(
+                shape.name, shape.layer, *shape.keys, key
+            )
+        self._shapes[row] = wider
+        self._values[row] = values + (value,)
+
+    def shape(self, name: str, layer: str, *keys: str) -> _Shape:
+        """The interned shape of rows named ``name`` in ``layer`` with
+        attributes ``keys``, for :meth:`begin`.  It is interned on
+        first use (a call site asks on every span), so the recorder
+        holds only shapes that have rows."""
+        shape = self._shape_of.get((name, layer, keys))
+        if shape is None:
+            shape = _Shape(name, layer, keys, len(self._shape_list))
+            self._shape_of[(name, layer, keys)] = shape
+            self._shape_list.append(shape)
+        return shape
 
     def add(self, span: Span) -> Span:
         """Append an externally built span (trace import), keeping the
@@ -463,7 +447,7 @@ class SpanRecorder:
             self._ids = array("q", range(1, len(self) + 1))
             self._next_id = len(self) + 1
         self._seal()
-        shape = self._shape(span.name, span.layer, tuple(span.attrs))
+        shape = self.shape(span.name, span.layer, *span.attrs)
         self._starts.append(span.start_ns)
         self._durations.append(span.duration_ns)
         self._parents.append(_NO_PARENT if parent is None else parent)
@@ -482,23 +466,51 @@ class SpanRecorder:
         self._next_id = max(self._next_id, span_id + 1)
         return span_id
 
-    def _new_shape(
+    def _append(
+        self,
+        shape: _Shape,
+        values: Tuple[Any, ...],
+        start_ns: int,
+        duration_ns: int,
+        parent: int,
+    ) -> int:
+        """Append one row (every recording path's one append); returns
+        its row.  The tail moves into the arrays once it outgrows
+        :data:`_CHUNK`."""
+        tail = self._tail_starts
+        tail_row = len(tail)
+        tail.append(start_ns)
+        self._tail_durations.append(duration_ns)
+        self._tail_parents.append(parent)
+        self._shapes.append(shape)
+        self._values.append(values)
+        row = self._sealed + tail_row
+        if self._ids is not None:
+            self._take_id()
+        if tail_row >= _CHUNK:
+            self._seal()
+        return row
+
+    def _shaped(
         self, name: str, layer: str, attrs: Dict[str, Any]
     ) -> Tuple[_Shape, Tuple[Any, ...]]:
-        """The append's slow path: the shape of ``attrs`` as ordered,
-        remembered as the recent one of ``name``, and the
-        values."""
-        shape = self._recent[name] = self._shape(name, layer, tuple(attrs))
-        return shape, tuple(attrs.values())
-
-    def _shape(self, name: str, layer: str, keys: Tuple[str, ...]) -> _Shape:
-        """The interned shape of ``name``, ``layer`` and ``keys``."""
-        shape = self._shape_of.get((name, layer, keys))
-        if shape is None:
-            shape = _Shape(name, layer, keys, len(self._shape_list))
-            self._shape_of[(name, layer, keys)] = shape
-            self._shape_list.append(shape)
-        return shape
+        """The shape and values of a kwargs span: the shape last
+        recorded under ``name`` is reused when ``attrs`` has exactly its
+        keys (``take`` raises KeyError on a missing one), in any order;
+        otherwise ``attrs`` as ordered becomes the recent shape."""
+        shape = self._recent.get(name)
+        try:
+            size = shape.size
+            if len(attrs) != size or shape.layer != layer:
+                raise KeyError
+            values = (
+                shape.take(attrs) if size > 1
+                else (attrs[shape.keys[0]],) if size else ()
+            )
+        except (AttributeError, KeyError):
+            shape = self._recent[name] = self.shape(name, layer, *attrs)
+            values = tuple(attrs.values())
+        return shape, values
 
     def _seal(self) -> None:
         """Move the tail rows into the typed columns."""
@@ -631,5 +643,5 @@ def shaped_row(
     interned in ``recorder`` once, here, and its values as one tuple
     every recording of the row shares; times are relative to the base
     the rows are recorded at."""
-    shape = recorder._shape(name, layer, tuple(attrs))
+    shape = recorder.shape(name, layer, *attrs)
     return (shape, tuple(attrs.values()), offset_ns, duration_ns)

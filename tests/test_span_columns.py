@@ -3,17 +3,19 @@
 ``_ReferenceRecorder`` and ``_reference_derive_events`` keep one
 ``Span`` object (and one attribute dict) per span, as the recorder did
 before it stored rows in columns.  Random sequences of with-block
-spans across scopes, attributes set inside a block or deleted,
-exceptions, retroactive records, pre-shaped rows and imported spans
-drive both; every query must answer the same, also mid-sequence while
-spans are open.  Pre-shaped rows must also seal the tail as one
-``record()`` per row does.  A last test bounds the heap a finished
-trace keeps per span.
+spans and rows opened with ``begin`` across scopes, attributes set
+inside a span or deleted, exceptions, retroactive records, pre-shaped
+rows and imported spans drive both; every query must
+answer the same, also mid-sequence while spans are open.  Pre-shaped
+rows must also seal the tail as one ``record()`` per row does, and a
+row sealed while open must get its duration when it ends.  A last
+test bounds the heap a finished trace keeps per span.
 """
 
 import gc
 import itertools
 import tracemalloc
+from functools import partial
 from typing import Any, Dict, List, Optional
 
 import pytest
@@ -248,12 +250,14 @@ def test_column_recorder_matches_reference(data):
     try:
         clock = _Clock()
         col, ref = SpanRecorder(clock), _ReferenceRecorder(clock)
+        # Per scope, the open spans: (close(exc), set_attr(key, value),
+        # reference span) each.
         opened: Dict[str, list] = {scope: [] for scope in SCOPES}
         pairs: list = []  # (column handle, reference span)
         for _ in range(draw(st.integers(min_value=0, max_value=40))):
             op = draw(st.sampled_from(
-                ["enter", "enter", "exit", "raise", "tick", "set", "delete",
-                 "record", "rows", "add", "check"]
+                ["enter", "enter", "begin", "begin", "exit", "raise", "tick",
+                 "set", "delete", "record", "rows", "add", "check"]
             ))
             scope = draw(st.sampled_from(SCOPES))
             stack = opened[scope]
@@ -263,20 +267,36 @@ def test_column_recorder_matches_reference(data):
                 contexts = (col.span(name, layer, scope, **attrs),
                             ref.span(name, layer, scope, **dict(attrs)))
                 pair = tuple(context.__enter__() for context in contexts)
-                stack.append((contexts, pair))
+
+                def close(exc, contexts=contexts):
+                    for context in contexts:
+                        assert context.__exit__(*exc) is False
+
+                stack.append((close, pair[0].attrs.__setitem__, pair[1]))
                 pairs.append(pair)
+            elif op == "begin":
+                name, layer = draw(st.sampled_from(NAMES))
+                attrs = _attrs_for(data, name)
+                row = col.begin(col.shape(name, layer, *attrs),
+                                tuple(attrs.values()), scope)
+                context = ref.span(name, layer, scope, **dict(attrs))
+                span = context.__enter__()
+
+                def close(exc, row=row, scope=scope, context=context):
+                    col.end(row, scope)
+                    assert context.__exit__(*exc) is False
+
+                stack.append((close, partial(col.set_attr, row), span))
             elif op in ("exit", "raise") and stack:
                 error = RuntimeError("boom") if op == "raise" else None
-                for context in stack.pop()[0]:
-                    exc = (type(error), error, None) if error else (None,) * 3
-                    assert context.__exit__(*exc) is False
+                stack.pop()[0]((type(error), error, None) if error else (None,) * 3)
             elif op == "tick":
                 clock.now += draw(_small)
             elif op == "set" and stack:
                 key = draw(st.sampled_from(["faulted_pages", "bytes", "crypto"]))
                 value = draw(_small)
-                handle, span = stack[-1][1]
-                handle.attrs[key] = value
+                _, set_attr, span = stack[-1]
+                set_attr(key, value)
                 span.attrs[key] = value
             elif op == "delete" and pairs:
                 handle, span = draw(st.sampled_from(pairs))
@@ -330,8 +350,7 @@ def test_column_recorder_matches_reference(data):
         for stack in opened.values():
             while stack:
                 clock.now += 1
-                for context in stack.pop()[0]:
-                    context.__exit__(None, None, None)
+                stack.pop()[0]((None,) * 3)
         _assert_same(col, ref, pairs)
     finally:
         spans_module._CHUNK = chunk
@@ -395,6 +414,60 @@ def test_record_rows_is_record_per_row(monkeypatch, chunk, imported):
     assert [s.name for s in children] == [name for name, *_ in stage]
     # Every copy's encrypt row holds the one values tuple of its row.
     assert rows_side._values[-2] is rows[1][1]
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 4096])
+@pytest.mark.parametrize("imported", [False, True], ids=["implicit-ids", "after-add"])
+def test_row_ended_after_its_seal(monkeypatch, chunk, imported):
+    """A row begun before the tail is sealed and ended after gets its
+    duration in the sealed column.  Spans stay open in two scopes at
+    once, nested in one, each sealed while open (by the chunk or by a
+    read), and end in another order than they began; ids, parents and
+    durations must match the reference."""
+    monkeypatch.setattr(spans_module, "_CHUNK", chunk)
+    clock = _Clock()
+    col, ref = SpanRecorder(clock), _ReferenceRecorder(clock)
+    if imported:
+        for recorder in (col, ref):
+            recorder.add(Span(40, None, "imported", "driver", 0, 1, {}))
+    launch = col.shape("cudaLaunchKernel", "driver", "kernel", "stream", "first")
+    kernel = col.shape("kern_a", "gpu.compute", "stream", "kqt_ns")
+    alloc = col.shape("dma_direct_alloc", "driver", "pages")
+
+    def begin(shape, values, scope):
+        context = ref.span(shape.name, shape.layer, scope,
+                           **dict(zip(shape.keys, values)))
+        context.__enter__()
+        return col.begin(shape, values, scope), scope, context
+
+    def seal():
+        # Records past a small chunk seal the tail; a read always does.
+        for hop in range(4):
+            for recorder in (col, ref):
+                recorder.record("vmcall", "tdx_module", clock.now, hop)
+        col.total_ns()
+        clock.now += 5
+
+    def end(opened):
+        row, scope, context = opened
+        assert row < col._sealed  # sealed while open
+        clock.now += 7
+        col.end(row, scope)
+        context.__exit__(None, None, None)
+
+    outer = begin(launch, ("k0", 0, True), "cpu")
+    seal()
+    gpu = begin(kernel, (0, 5), "gpu:s0")
+    seal()
+    inner = begin(alloc, (64,), "cpu")
+    seal()
+    end(inner)
+    seal()
+    end(outer)  # the CPU spans end while the GPU one is open
+    seal()
+    end(gpu)
+    assert not col.has_open
+    assert list(col) == ref.spans
 
 
 def test_retained_bytes_per_span():

@@ -1,7 +1,10 @@
 """Tests for the TDX guest-context cost model and its page-conversion
 and hypercall bookkeeping."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.config import SystemConfig
@@ -151,3 +154,31 @@ def test_jitter_seeded_and_bounded():
     # Deterministic across same-seed contexts.
     guest2 = GuestContext(Simulator(), SystemConfig.base())
     assert [guest2.jitter(units.us(10), 0.14) for _ in range(5)] == values[:5]
+
+
+_jitter_call = st.tuples(
+    st.integers(min_value=-3, max_value=10**9),
+    st.one_of(
+        st.sampled_from([0.0, -0.1, 0.05, 0.14]),
+        st.floats(min_value=1e-6, max_value=3.0),
+    ),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       calls=st.lists(_jitter_call, max_size=600))
+def test_jitter_is_per_call_lognormal(seed, calls):
+    """Jitter is one ``lognormal(0, sigma)`` per call on a stream seeded
+    with the config's seed, over long runs of mixed sigmas;
+    ``sigma <= 0`` or ``base <= 0`` returns ``base`` and consumes no
+    draw, so later jitter values do not shift."""
+    guest = GuestContext(Simulator(), SystemConfig.base(seed=seed))
+    reference = np.random.default_rng(seed)
+    for base, sigma in calls:
+        if sigma <= 0 or base <= 0:
+            expected = base
+        else:
+            factor = float(reference.lognormal(mean=0.0, sigma=sigma))
+            expected = max(1, int(base * factor))
+        assert guest.jitter(base, sigma) == expected
