@@ -449,9 +449,9 @@ class _Run:
     def arrivals_left(self) -> bool:
         return self.index < len(self.pending)
 
-    def until_next_arrival(self):
-        arrival = self.pending[self.index].arrival_ns
-        return self.rt.sim.timeout(arrival - self.rt.sim.now)
+    def until_next_arrival(self) -> int:
+        """The bare delay (ns) to yield until the next arrival."""
+        return self.pending[self.index].arrival_ns - self.rt.sim.now
 
     def arrive(self, now: int) -> None:
         """Submit every request that has arrived by ``now``, then shed

@@ -9,6 +9,7 @@ reproduction.  See :mod:`repro.sim.engine` for the core and
 from .engine import (
     AllOf,
     Event,
+    Grant,
     Process,
     SimTimeCollector,
     SimulationError,
@@ -20,6 +21,7 @@ from .resources import Request, Resource, Store
 __all__ = [
     "AllOf",
     "Event",
+    "Grant",
     "Process",
     "Request",
     "Resource",

@@ -8,13 +8,18 @@ are resumed when it happens.  A process may yield:
   the cheap form of ``yield sim.timeout(250)``: same resume time, same
   place in the event order, but no event object is built.  A negative
   delay raises :class:`SimulationError` into the process;
+* a :class:`Grant` of the same simulator: the token a free resource
+  slot returns from ``Resource.request()``.  It resumes the process
+  exactly like ``yield 0``, at the point the grant event it replaces
+  would have fired, with no event object built;
 * any :class:`Event` of the same simulator (a :class:`Timeout`, another
-  :class:`Process`, a resource grant, an :class:`AllOf`).  The process
-  is resumed with its value, or the event's exception is thrown in.
+  :class:`Process`, a queued resource request, an :class:`AllOf`).
+  The process is resumed with its value, or the event's exception is
+  thrown in.
 
-Anything else (a ``bool``, a ``float``, a numpy integer, an event of
-another simulator) raises :class:`SimulationError` into the process,
-which may catch it and go on.
+Anything else (a ``bool``, a ``float``, a numpy integer, an event or a
+grant of another simulator) raises :class:`SimulationError` into the
+process, which may catch it and go on.
 
 Design constraints driving this implementation:
 
@@ -176,6 +181,24 @@ class Event:
         return f"<{type(self).__name__} state={_STATE_NAMES[self._state]}>"
 
 
+class Grant:
+    """A resource slot granted at once, as a token rather than an event.
+
+    ``Resource.request()`` returns its resource's one :class:`Grant`
+    when a slot is free and builds an event only for a request that has
+    to queue.  A process that yields a grant of its own simulator is
+    resumed like ``yield 0``: its wake goes to the end of the current
+    bucket, which is where the succeeded grant event went.  A grant is
+    not an :class:`Event`: nothing can wait on it but the yielding
+    process, so :class:`AllOf` does not take one.
+    """
+
+    __slots__ = ("sim",)
+
+    def __init__(self, sim: "Simulator") -> None:
+        self.sim = sim
+
+
 class Timeout(Event):
     """An event that fires ``delay`` nanoseconds after creation.
 
@@ -203,11 +226,12 @@ class Timeout(Event):
 class Process(Event):
     """A running generator coroutine.
 
-    The generator yields an ``int`` delay in nanoseconds or an
-    :class:`Event` of this simulator (see the module docstring); a
-    misuse is thrown into it as a :class:`SimulationError`.  The process
-    event itself triggers when the generator returns (its value is the
-    generator's return value) or raises.
+    The generator yields an ``int`` delay in nanoseconds, a
+    :class:`Grant` or an :class:`Event` of this simulator (see the
+    module docstring); a misuse is thrown into it as a
+    :class:`SimulationError`.  The process event itself triggers when
+    the generator returns (its value is the generator's return value)
+    or raises.
     """
 
     __slots__ = ("_generator", "_resume_bound", "_wake")
@@ -251,25 +275,21 @@ class Process(Event):
                 self.fail(exc)
                 return
             if target.__class__ is int:
-                if target >= 0:
-                    # Bare delay: the reusable wake event goes straight
-                    # into its bucket (``Simulator._schedule`` inlined),
-                    # at the point a timeout built just before the yield
-                    # would have been scheduled.
-                    sim = self.sim
-                    wake = self._wake
-                    wake._state = _TRIGGERED
-                    wake._cb1 = self._resume_bound
-                    sim.scheduled += 1
-                    when = sim._now + target
-                    bucket = sim._buckets.get(when)
-                    if bucket is None:
-                        sim._buckets[when] = [wake]
-                        _heappush(sim._times, when)
-                    else:
-                        bucket.append(wake)
-                    return
-                value = SimulationError(f"process yielded negative delay: {target}")
+                if target < 0:
+                    value = SimulationError(
+                        f"process yielded negative delay: {target}"
+                    )
+                    ok = False
+                    continue
+            elif target.__class__ is Grant:
+                if target.sim is not self.sim:
+                    value = SimulationError(
+                        "process yielded grant from another simulator"
+                    )
+                    ok = False
+                    continue
+                # A slot granted at once resumes like ``yield 0``.
+                target = 0
             elif isinstance(target, Event):
                 if target.sim is self.sim:
                     # ``add_callback`` inlined for the common case: a
@@ -282,9 +302,29 @@ class Process(Event):
                 value = SimulationError(
                     "process yielded event from another simulator"
                 )
+                ok = False
+                continue
             else:
                 value = SimulationError(f"process yielded non-event: {target!r}")
-            ok = False
+                ok = False
+                continue
+            # Bare delay: the reusable wake event goes straight into its
+            # bucket (``Simulator._schedule`` inlined), at the point a
+            # timeout or grant event built just before the yield would
+            # have been scheduled.
+            sim = self.sim
+            wake = self._wake
+            wake._state = _TRIGGERED
+            wake._cb1 = self._resume_bound
+            sim.scheduled += 1
+            when = sim._now + target
+            bucket = sim._buckets.get(when)
+            if bucket is None:
+                sim._buckets[when] = [wake]
+                _heappush(sim._times, when)
+            else:
+                bucket.append(wake)
+            return
 
 
 class AllOf(Event):

@@ -5,18 +5,28 @@ FIFO wait queue (used for copy engines, launch-queue credits, CPU
 worker threads...).  :class:`Store` is an unbounded FIFO of items with
 blocking ``get`` (used for command channels between the driver and the
 GPU command processor).
+
+``Resource.request()`` returns the resource's :class:`~.engine.Grant`
+when a slot is free, and a :class:`Request` event only when the caller
+has to queue.  Yield what it returns at once, on the next line: a
+grant resumes the process like ``yield 0``, so the schedule is the
+same as if a grant event had been succeeded at the request.  A grant
+is not an event, so :class:`~.engine.AllOf` takes queued requests and
+other events only.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque
+from typing import Any, Deque, Union
 
-from .engine import Event, SimulationError, Simulator
+from .engine import Event, Grant, SimulationError, Simulator
 
 
 class Request(Event):
-    """Grant event handed out by :meth:`Resource.request`."""
+    """A queued request: the event :meth:`Resource.request` builds when
+    no slot is free.  It fires when :meth:`Resource.release` hands it a
+    slot."""
 
     __slots__ = ("resource",)
 
@@ -36,49 +46,51 @@ class Resource:
             ...  # hold the slot
         finally:
             engine_pool.release(req)
+
+    ``in_use`` is a plain attribute for the gauges that sample it on
+    every launch and copy; only :meth:`request` and :meth:`release`
+    write it.
     """
 
-    __slots__ = ("sim", "capacity", "_in_use", "_waiters")
+    __slots__ = ("sim", "capacity", "in_use", "_waiters", "_grant")
 
     def __init__(self, sim: Simulator, capacity: int = 1) -> None:
         if capacity < 1:
             raise SimulationError("resource capacity must be >= 1")
         self.sim = sim
         self.capacity = capacity
-        self._in_use = 0
+        self.in_use = 0
         self._waiters: Deque[Request] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
+        # Every slot granted at once shares this one token.
+        self._grant = Grant(sim)
 
     @property
     def queue_length(self) -> int:
         return len(self._waiters)
 
-    def request(self) -> Request:
+    def request(self) -> Union[Grant, Request]:
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            return self._grant
         req = Request(self)
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            req.succeed()
-        else:
-            self._waiters.append(req)
+        self._waiters.append(req)
         return req
 
-    def release(self, request: Request) -> None:
-        if request.resource is not self:
-            raise SimulationError("release of a foreign request")
-        if not request.triggered:
-            # Only a granted slot can be released: without interrupts, a
-            # process waiting on its request cannot give it up.
-            raise SimulationError("release of a request not yet granted")
-        if self._in_use <= 0:
+    def release(self, token: Union[Grant, Request]) -> None:
+        if token is not self._grant:
+            if not isinstance(token, Request) or token.resource is not self:
+                raise SimulationError("release of a foreign request")
+            if not token.triggered:
+                # Only a granted slot can be released: without
+                # interrupts, a process waiting on its request cannot
+                # give it up.
+                raise SimulationError("release of a request not yet granted")
+        if self.in_use <= 0:
             raise SimulationError("release without outstanding grant")
         if self._waiters:
-            nxt = self._waiters.popleft()
-            nxt.succeed()
+            self._waiters.popleft().succeed()
         else:
-            self._in_use -= 1
+            self.in_use -= 1
 
 
 class Store:

@@ -14,6 +14,10 @@ replaced.  These tests pin that contract from three directions:
 * A Hypothesis differential: processes sleeping with a bare
   ``yield <int>`` resume at the same times, in the same order and with
   the same event count as the same processes yielding timeouts.
+* A Hypothesis differential of the grant path: a free slot handed out
+  as the resource's grant token schedules exactly what a reference
+  resource that builds and succeeds a ``Request`` event per grant
+  does, and a kernel that skipped the grant's queue hop would not.
 * Pinned verdict digests for a storm-heavy serving scenario: the
   end-to-end byte-identity gate in miniature.
 """
@@ -27,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro.config import resolve_system_configs
 from repro.serve import ScenarioSpec, run_scenario, verdict_json
-from repro.sim import Resource, SimulationError, Simulator, Store
+from repro.sim import Grant, Request, Resource, SimulationError, Simulator, Store
 
 # ---------------------------------------------------------------------------
 # Negative-delay validation (succeed/fail must reject before mutating)
@@ -142,11 +146,31 @@ _STEPS = st.lists(
 )
 
 
-def _run_processes(programs, bare):
+class _EventResource(Resource):
+    """Reference grant path: every request builds a ``Request`` event,
+    succeeded at once when a slot is free."""
+
+    __slots__ = ()
+
+    def request(self):
+        req = Request(self)
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            req.succeed()
+        else:
+            self._waiters.append(req)
+        return req
+
+
+def _run_processes(programs, bare=True, capacity=1, resource=Resource,
+                   inline_grants=False):
     """Run ``programs`` sleeping with ``yield d`` (``bare``) or with
-    ``yield sim.timeout(d)``; return the resume log and the event count."""
+    ``yield sim.timeout(d)``; return the resume log and the event count.
+
+    ``inline_grants`` is a mutant of the grant path: a process granted a
+    free slot goes on at once instead of yielding its grant."""
     sim = Simulator()
-    slots = Resource(sim, capacity=1)
+    slots = resource(sim, capacity=capacity)
     store = Store(sim)
     log = []
 
@@ -160,7 +184,8 @@ def _run_processes(programs, bare):
                 yield sleep(arg)
             elif op == "hold":
                 req = slots.request()
-                yield req
+                if not (inline_grants and isinstance(req, Grant)):
+                    yield req
                 log.append((sim.now, label + ".granted"))
                 yield sleep(arg)
                 slots.release(req)
@@ -175,6 +200,7 @@ def _run_processes(programs, bare):
     for index, steps in enumerate(programs):
         sim.process(proc(index, steps))
     sim.run()
+    assert slots.in_use == 0 and slots.queue_length == 0
     return log, sim.scheduled
 
 
@@ -184,6 +210,61 @@ def test_bare_delay_matches_timeout(programs):
     assert _run_processes(programs, bare=True) == _run_processes(
         programs, bare=False
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    programs=st.lists(_STEPS, min_size=1, max_size=4),
+    capacity=st.integers(min_value=1, max_value=3),
+)
+def test_grant_token_matches_grant_event(programs, capacity):
+    assert _run_processes(programs, capacity=capacity) == _run_processes(
+        programs, capacity=capacity, resource=_EventResource
+    )
+
+
+def test_inline_grant_mutant_is_caught():
+    # p0's grant must resume it after p1, which was already due at t=0:
+    # going on inline puts p0's steps first and skips one event.
+    programs = [[("hold", 0)], [("sleep", 0)]]
+    reference = _run_processes(programs, resource=_EventResource)
+    mutant = _run_processes(programs, inline_grants=True)
+    assert mutant[1] == reference[1] - 1
+    assert mutant[0] != reference[0]
+
+
+def test_grant_yielded_in_another_simulator_raises():
+    home, other = Simulator(), Simulator()
+    res = Resource(home)
+    caught = []
+
+    def proc():
+        try:
+            yield res.request()
+        except SimulationError as exc:
+            caught.append(str(exc))
+
+    other.run(other.process(proc()))
+    assert caught == ["process yielded grant from another simulator"]
+
+
+def test_release_of_another_resources_grant_is_foreign():
+    sim = Simulator()
+    first, second = Resource(sim), Resource(sim)
+    grant = first.request()
+    with pytest.raises(SimulationError, match="foreign"):
+        second.release(grant)
+    assert first.in_use == 1 and second.in_use == 0
+
+
+def test_release_past_zero_raises():
+    sim = Simulator()
+    res = Resource(sim, capacity=2)
+    grant = res.request()
+    res.release(grant)
+    with pytest.raises(SimulationError, match="without outstanding grant"):
+        res.release(grant)
+    assert res.in_use == 0
 
 
 # ---------------------------------------------------------------------------

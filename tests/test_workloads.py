@@ -90,6 +90,26 @@ def test_apps_leave_no_leaks():
     assert machine.guest.memory.heap.used_bytes == 0
 
 
+@pytest.mark.parametrize("uvm", [False, True], ids=["explicit", "uvm"])
+@pytest.mark.parametrize("cc", [False, True], ids=["base", "cc"])
+def test_catalogue_runs_leave_resources_at_rest(cc, uvm):
+    # A leaked or double-released slot leaves a count off zero.
+    config = SystemConfig.confidential(seed=42) if cc else SystemConfig.base(seed=42)
+    for name, info in CATALOG.items():
+        machine = Machine(config, label=name)
+        machine.run(info.app(uvm))
+        gpu = machine.gpu
+        pools = {"launch_credits": gpu.launch_credits, "compute": gpu.compute}
+        for kind in CopyKind:
+            pools[f"copy_engine({kind.value})"] = gpu.copy_engine(kind)
+        busy = {
+            pool: (res.in_use, res.queue_length)
+            for pool, res in pools.items()
+            if res.in_use or res.queue_length
+        }
+        assert busy == {}, name
+
+
 def test_apps_leave_no_leaks_after_a_fatal_fault():
     plan = FaultPlan(((DMA, SiteFaults(rate=1.0)),))
     machine = Machine(SystemConfig.base(seed=42).replace(faults=plan))
