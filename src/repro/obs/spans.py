@@ -68,7 +68,8 @@ from itertools import compress, count
 from operator import attrgetter, itemgetter
 from struct import Struct
 from typing import (
-    Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union,
+    Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+    Union,
 )
 
 from ..core.intervals import union_length
@@ -361,18 +362,28 @@ class SpanRecorder:
         return handle
 
     def record_rows(
-        self, rows: Tuple[Tuple[Any, ...], ...], base_ns: int, scope: str = "cpu"
-    ) -> None:
+        self,
+        rows: Sequence[Tuple[Any, ...]],
+        base_ns: int = 0,
+        scope: str = "cpu",
+        parent: Optional[int] = None,
+    ) -> Optional[int]:
         """Record completed pre-shaped rows (:func:`shaped_row`), each
-        starting at ``base_ns`` plus its offset, under the innermost
-        open span of ``scope``: the ids, parents, order and sealing of
-        one :meth:`record` per row, without building a shape, a values
-        tuple or a handle per row."""
-        stack = self._open.get(scope)
-        parent = stack[-1] if stack else _NO_PARENT
+        starting at ``base_ns`` plus its offset, under the span with id
+        ``parent``, by default the innermost open span of ``scope``:
+        the ids, parents, order and sealing of one :meth:`record` per
+        row, without building a shape, a values tuple or a handle per
+        row.  Returns the last row's span id (``None`` for no rows)."""
+        if parent is None:
+            stack = self._open.get(scope)
+            parent = stack[-1] if stack else _NO_PARENT
         append = self._append
+        row = None
         for shape, values, offset_ns, duration_ns in rows:
-            append(shape, values, base_ns + offset_ns, duration_ns, parent)
+            row = append(shape, values, base_ns + offset_ns, duration_ns, parent)
+        if row is None:
+            return None
+        return row + 1 if self._ids is None else self._ids[row]
 
     def begin(
         self, shape: _Shape, values: Tuple[Any, ...], scope: str = "cpu"

@@ -54,10 +54,14 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
+from operator import itemgetter
 from typing import (
+    Any,
     Callable,
     Dict,
     List,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -104,8 +108,7 @@ class TelemetryError(ValueError):
     """Inconsistent telemetry capture (always a bug in the engine)."""
 
 
-@dataclass(frozen=True)
-class EngineOp:
+class EngineOp(NamedTuple):
     """One tagged cost-paying engine operation."""
 
     kind: str
@@ -116,6 +119,14 @@ class EngineOp:
     @property
     def duration_ns(self) -> int:
         return self.end_ns - self.start_ns
+
+
+#: Builds an :class:`EngineOp` from its four fields as one tuple: a C
+#: call, where ``EngineOp(...)`` runs a Python ``__new__`` frame.
+_new_op = partial(tuple.__new__, EngineOp)
+#: An op's place in the run: ``(start_ns, end_ns)``.
+_op_order = itemgetter(1, 2)
+_new = object.__new__
 
 
 class ServeTelemetry:
@@ -158,7 +169,14 @@ class ServeTelemetry:
             return _NULL_OP_CONTEXT
         if kind not in OP_BASE_COMPONENT:
             raise TelemetryError(f"unknown engine op kind {kind!r}")
-        return _OpContext(self, kind, req_ids)
+        # Slot stores on a bare instance: an __init__ frame would cost
+        # about as much again, once per op.
+        context = _new(_OpContext)
+        context._ops = self.ops
+        context._clock = self._clock
+        context._kind = kind
+        context._req_ids = req_ids
+        return context
 
 
 class _NullOpContext:
@@ -177,27 +195,19 @@ _NULL_OP_CONTEXT = _NullOpContext()
 
 
 class _OpContext:
-    """Records one :class:`EngineOp` interval on block exit."""
+    """Records one :class:`EngineOp` interval on block exit; built by
+    :meth:`ServeTelemetry.op`, which fills its slots."""
 
-    __slots__ = ("_tel", "_kind", "_req_ids", "_start")
-
-    def __init__(
-        self, tel: ServeTelemetry, kind: str, req_ids: Sequence[int]
-    ) -> None:
-        self._tel = tel
-        self._kind = kind
-        self._req_ids = req_ids
+    __slots__ = ("_ops", "_clock", "_kind", "_req_ids", "_start")
 
     def __enter__(self) -> None:
-        self._start = self._tel._clock()
+        self._start = self._clock()
         return None
 
     def __exit__(self, *exc: object) -> bool:
-        tel = self._tel
-        tel.ops.append(
-            EngineOp(self._kind, self._start, tel._clock(),
-                     tuple(self._req_ids))
-        )
+        self._ops.append(_new_op(
+            (self._kind, self._start, self._clock(), tuple(self._req_ids))
+        ))
         return False
 
 
@@ -210,6 +220,24 @@ NULL_TELEMETRY = ServeTelemetry(enabled=False)
 # ---------------------------------------------------------------------------
 
 
+#: The stack's claims inside an op, highest priority first.
+_REFINEMENTS = ("recovery", "K", "E", "L")
+
+
+def _refinement(name: str, layer: str, keys: Tuple[str, ...]) -> Any:
+    """What a span of this shape claims inside an op: a refinement, or,
+    for a shape with a ``crypto`` key, ``(index of the key, what the
+    span claims when its value is falsy)``; ``None`` for no claim."""
+    if layer == "recovery":
+        return "recovery"
+    if layer == "gpu.compute":
+        return "K"
+    launch = "L" if name == "cudaLaunchKernel" else None
+    if "crypto" in keys:
+        return (keys.index("crypto"), launch)
+    return launch
+
+
 def component_timeline(
     ops: Sequence[EngineOp], trace: Trace, horizon_ns: int
 ) -> List[Tuple[int, int, str]]:
@@ -218,35 +246,46 @@ def component_timeline(
     One :func:`repro.core.intervals.carve` of the run: time covered by
     no op (engine idle, allocation prologue, drain epilogue) is
     ``other``; inside an op the stack's own record claims time —
-    recovery events, kernel-execution events, crypto-flagged spans,
-    ``cudaLaunchKernel`` spans, in that priority — and the remainder
-    falls to the op kind's base component.  Integer endpoints
+    spans in layer ``recovery``, kernel spans (layer ``gpu.compute``),
+    crypto-flagged spans, ``cudaLaunchKernel`` spans, in that priority
+    — and the remainder falls to the op kind's base component.  Reads
+    only ``trace.spans``, in one column scan.  Integer endpoints
     throughout, so clipping a request's lifetime against the result is
     exact.  Raises :class:`TelemetryError` if two non-empty ops overlap.
     """
+    return _timeline(sorted(ops, key=_op_order), trace, horizon_ns)
+
+
+def _timeline(
+    ordered: Sequence[EngineOp], trace: Trace, horizon_ns: int
+) -> List[Tuple[int, int, str]]:
+    """:func:`component_timeline` of ops already in (start, end) order."""
     gaps: List[Interval] = []
     by_base: Dict[str, List[Interval]] = {}
     cursor = 0
-    for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
-        start, end = op.start_ns, op.end_ns
+    for kind, start, end, _ in ordered:
         if end <= start:
             continue
         if start < cursor:
             raise TelemetryError(f"overlapping engine ops at {start} ns")
         gaps.append((cursor, start))
-        by_base.setdefault(OP_BASE_COMPONENT[op.kind], []).append((start, end))
+        by_base.setdefault(OP_BASE_COMPONENT[kind], []).append((start, end))
         cursor = end
     gaps.append((cursor, horizon_ns))
-    return carve(0, horizon_ns, [
-        ("other", gaps),
-        ("recovery", ((e.start_ns, e.end_ns) for e in trace.recoveries())),
-        ("K", ((e.start_ns, e.end_ns) for e in trace.kernels())),
-        ("E", trace.spans.flagged("crypto")),
-        ("L", ((start, start + duration) for _, start, duration, _ in trace.spans.scan(
-            lambda name, layer, keys: True if name == "cudaLaunchKernel" else None
-        ))),
-        *by_base.items(),
-    ], "other")
+    claims: Dict[str, List[Interval]] = {c: [] for c in _REFINEMENTS}
+    for claim, start, duration, values in trace.spans.scan(_refinement):
+        if claim.__class__ is tuple:
+            at, claim = claim
+            if values[at]:
+                claim = "E"
+            elif claim is None:
+                continue
+        claims[claim].append((start, start + duration))
+    return carve(
+        0, horizon_ns,
+        [("other", gaps), *claims.items(), *by_base.items()],
+        "other",
+    )
 
 
 #: Per component of a timeline: its segments' starts and ends, and its
@@ -370,15 +409,17 @@ def attribute_requests(
     Conservation is enforced, not hoped for: the function raises
     :class:`TelemetryError` if any request's breakdown does not sum
     exactly to its end-to-end latency (or its TTFT window to TTFT).
+    Sorts ``telemetry.ops`` in place into (start, end) order, the order
+    :func:`record_telemetry_spans` records them in.
     """
+    ops = telemetry.ops
+    ops.sort(key=_op_order)
     horizon = 0
-    for op in telemetry.ops:
+    for op in ops:
         horizon = max(horizon, op.end_ns)
     for outcome in outcomes:
         horizon = max(horizon, outcome.finish_ns)
-    index = _cumulative_index(
-        component_timeline(telemetry.ops, trace, horizon)
-    )
+    index = _cumulative_index(_timeline(ops, trace, horizon))
 
     attributions: List[RequestAttribution] = []
     for outcome in sorted(outcomes, key=lambda o: o.req_id):
@@ -439,6 +480,15 @@ def attribute_requests(
     return attributions
 
 
+#: Attribute names of a ``request`` span, in row order.
+_REQUEST_KEYS = (
+    "req", "tenant", "status", "cause", "admitted_ns", "first_token_ns",
+    "prompt_tokens", "gen_tokens", "preemptions",
+) + tuple(f"c_{c}" for c in ATTRIBUTION_COMPONENTS) + tuple(
+    f"f_{c}" for c in ATTRIBUTION_COMPONENTS
+)
+
+
 def record_telemetry_spans(
     attributions: Sequence[RequestAttribution],
     ops: Sequence[EngineOp],
@@ -450,69 +500,61 @@ def record_telemetry_spans(
     identical to a telemetry-off run; the telemetry spans simply take
     the ids after them (deterministic across processes).  Requests
     export on one Perfetto track each (layer ``serve.req``), engine
-    ops on a shared ``serve.op`` track.
+    ops on a shared ``serve.op`` track, in the order of ``ops``: (start,
+    end) order once :func:`attribute_requests` has sorted them.  Every
+    span is a pre-shaped row; each shape is interned at its first row.
     """
-    for attribution in attributions:
-        attrs: Dict[str, object] = {
-            "req": attribution.req_id,
-            "tenant": attribution.tenant,
-            "status": attribution.status,
-            "cause": attribution.cause,
-            "admitted_ns": attribution.admitted_ns,
-            "first_token_ns": attribution.first_token_ns,
-            "prompt_tokens": attribution.prompt_tokens,
-            "gen_tokens": attribution.gen_tokens,
-            "preemptions": attribution.preemptions,
-        }
-        for component in ATTRIBUTION_COMPONENTS:
-            attrs[f"c_{component}"] = attribution.components.get(component, 0)
-        for component in ATTRIBUTION_COMPONENTS:
-            attrs[f"f_{component}"] = attribution.ttft_components.get(
-                component, 0
-            )
-        root = trace.spans.record(
-            "request",
-            SERVE_REQUEST_LAYER,
-            attribution.arrival_ns,
-            attribution.e2e_ns,
-            **attrs,
+    spans = trace.spans
+    record_rows = spans.record_rows
+    shapes: Dict[str, Any] = {}
+
+    def shape(name: str, layer: str, *keys: str) -> Any:
+        found = shapes.get(name)
+        if found is None:
+            found = shapes[name] = spans.shape(name, layer, *keys)
+        return found
+
+    for a in attributions:
+        components, ttft = a.components, a.ttft_components
+        values = (
+            a.req_id, a.tenant, a.status, a.cause, a.admitted_ns,
+            a.first_token_ns, a.prompt_tokens, a.gen_tokens, a.preemptions,
+            *[components.get(c, 0) for c in ATTRIBUTION_COMPONENTS],
+            *[ttft.get(c, 0) for c in ATTRIBUTION_COMPONENTS],
         )
-        queue_ns = attribution.components.get("queue", 0)
+        root = record_rows((
+            (shape("request", SERVE_REQUEST_LAYER, *_REQUEST_KEYS),
+             values, a.arrival_ns, a.e2e_ns),
+        ))
+        req = (a.req_id,)
+        children = []
+        queue_ns = components.get("queue", 0)
         if queue_ns:
-            trace.spans.record(
-                "queued",
-                SERVE_REQUEST_LAYER,
-                attribution.arrival_ns,
-                queue_ns,
-                parent=root,
-                req=attribution.req_id,
+            children.append((
+                shape("queued", SERVE_REQUEST_LAYER, "req"),
+                req, a.arrival_ns, queue_ns,
+            ))
+        if a.admitted_ns is not None:
+            children.append((
+                shape("exec", SERVE_REQUEST_LAYER, "req"),
+                req, a.admitted_ns, a.finish_ns - a.admitted_ns,
+            ))
+        if a.first_token_ns is not None:
+            children.append((
+                shape("first_token", SERVE_REQUEST_LAYER, "req"),
+                req, a.first_token_ns, 0,
+            ))
+        record_rows(children, parent=root)
+    op_shapes: Dict[str, Any] = {}
+    rows = []
+    for kind, start, end, ids in ops:
+        op_shape = op_shapes.get(kind)
+        if op_shape is None:
+            op_shape = op_shapes[kind] = spans.shape(
+                kind, SERVE_OP_LAYER, "reqs"
             )
-        if attribution.admitted_ns is not None:
-            trace.spans.record(
-                "exec",
-                SERVE_REQUEST_LAYER,
-                attribution.admitted_ns,
-                attribution.finish_ns - attribution.admitted_ns,
-                parent=root,
-                req=attribution.req_id,
-            )
-        if attribution.first_token_ns is not None:
-            trace.spans.record(
-                "first_token",
-                SERVE_REQUEST_LAYER,
-                attribution.first_token_ns,
-                0,
-                parent=root,
-                req=attribution.req_id,
-            )
-    for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
-        trace.spans.record(
-            op.kind,
-            SERVE_OP_LAYER,
-            op.start_ns,
-            op.duration_ns,
-            reqs=",".join(str(r) for r in op.req_ids),
-        )
+        rows.append((op_shape, (",".join(map(str, ids)),), start, end - start))
+    record_rows(rows)
 
 
 # ---------------------------------------------------------------------------

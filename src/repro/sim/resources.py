@@ -18,7 +18,7 @@ other events only.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Union
+from typing import Any, Deque, Optional, Union
 
 from .engine import Event, Grant, SimulationError, Simulator
 
@@ -32,7 +32,8 @@ class Request(Event):
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim)
-        self.resource = resource
+        #: The resource it queues at; ``None`` once it was released.
+        self.resource: Optional[Resource] = resource
 
 
 class Resource:
@@ -77,14 +78,24 @@ class Resource:
         return req
 
     def release(self, token: Union[Grant, Request]) -> None:
+        """Give back the slot ``token`` (what :meth:`request` returned)
+        holds.  A queued request can be released once: its first
+        release clears its ``resource``, so a second one raises.  The
+        grant is shared by every holder of an uncontended slot, so one
+        holder releasing it twice cannot be told apart from two holders
+        releasing it once each; only ``in_use`` going below zero is
+        caught here, the rest is left to an audit of the drained run."""
         if token is not self._grant:
             if not isinstance(token, Request) or token.resource is not self:
+                if isinstance(token, Request) and token.resource is None:
+                    raise SimulationError("request released twice")
                 raise SimulationError("release of a foreign request")
             if not token.triggered:
                 # Only a granted slot can be released: without
                 # interrupts, a process waiting on its request cannot
                 # give it up.
                 raise SimulationError("release of a request not yet granted")
+            token.resource = None
         if self.in_use <= 0:
             raise SimulationError("release without outstanding grant")
         if self._waiters:

@@ -20,6 +20,7 @@ from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
 from repro.figures.ext_fault_serving import spec_for as fault_spec_for
 from repro.obs import SpanRecorder, summary
+from repro.profiler import collector
 from repro.profiler.importers import from_chrome_trace
 from repro.serve import (
     ATTRIBUTION_COMPONENTS,
@@ -44,6 +45,7 @@ from repro.serve import (
     tenant_rollup,
     verdict_json,
 )
+from repro.serve import cluster
 from repro.serve.telemetry import (
     OP_BASE_COMPONENT,
     _cumulative_index,
@@ -104,12 +106,6 @@ def test_component_timeline_gap_fill_and_overlap_rejection():
     class EmptyTrace:
         spans = SpanRecorder()
 
-        def recoveries(self):
-            return []
-
-        def kernels(self):
-            return []
-
     ops = [EngineOp("sched", 10, 20), EngineOp("prefill", 30, 40)]
     timeline = component_timeline(ops, EmptyTrace(), 50)
     assert timeline == [
@@ -138,37 +134,46 @@ def test_unknown_op_kind_rejected():
 
 #: Refinement priority inside an op, highest first.
 REFINEMENTS = ("recovery", "K", "E", "L")
+#: Span streams that claim nothing or rank by layer: crypto=False
+#: spans, crypto-flagged recovery spans, graph launches.
+EXTRA_STREAMS = ("crypto_off", "crypto_recovery", "graph")
 HORIZON = 48
 
 
-def _event(interval):
-    return SimpleNamespace(start_ns=interval[0], end_ns=interval[1])
-
-
 def _fake_trace(refinements):
-    """The four refinement streams, plus a span neither crypto nor a
-    launch that the attribution must ignore."""
+    """The refinement streams as spans, plus a span neither crypto nor
+    a launch that the attribution must ignore."""
     spans = SpanRecorder()
     spans.record("cudaMemcpy", "driver", 0, HORIZON)
+    for s, e in refinements["recovery"]:
+        spans.record("retry", "recovery", s, e - s)
+    for s, e in refinements["K"]:
+        spans.record("kernel", "gpu.compute", s, e - s)
     for s, e in refinements["E"]:
         spans.record("aes_gcm", "td", s, e - s, crypto=True)
     for s, e in refinements["L"]:
         spans.record("cudaLaunchKernel", "driver", s, e - s)
-    return SimpleNamespace(
-        recoveries=lambda: [_event(iv) for iv in refinements["recovery"]],
-        kernels=lambda: [_event(iv) for iv in refinements["K"]],
-        spans=spans,
-    )
+    for s, e in refinements.get("crypto_off", ()):
+        spans.record("aes_gcm", "td", s, e - s, crypto=False)
+    for s, e in refinements.get("crypto_recovery", ()):
+        spans.record("rekey", "recovery", s, e - s, crypto=True)
+    for s, e in refinements.get("graph", ()):
+        spans.record("cudaGraphLaunch", "driver", s, e - s)
+    return SimpleNamespace(spans=spans)
 
 
 def _paint(ops, refinements):
     """Per-nanosecond reference: recovery > K > E > L > op base > other."""
+    claims = dict(refinements)
+    claims["recovery"] = [
+        *refinements["recovery"], *refinements.get("crypto_recovery", ()),
+    ]
     painted = ["other"] * HORIZON
     for op in ops:
         for t in range(op.start_ns, op.end_ns):
             painted[t] = next(
                 (c for c in REFINEMENTS
-                 if any(s <= t < e for s, e in refinements[c])),
+                 if any(s <= t < e for s, e in claims[c])),
                 OP_BASE_COMPONENT[op.kind],
             )
     return painted
@@ -188,7 +193,8 @@ def _attribution_case(draw):
         for s, e in zip(cuts[::2], cuts[1::2])
     ]
     refinements = {
-        c: draw(st.lists(_interval, max_size=5)) for c in REFINEMENTS
+        c: draw(st.lists(_interval, max_size=5))
+        for c in REFINEMENTS + EXTRA_STREAMS
     }
     windows = draw(st.lists(_interval, max_size=6))
     return draw(st.permutations(ops)), refinements, windows
@@ -237,13 +243,11 @@ def _synthetic_attribution(ops_count, monkeypatch):
         EngineOp(kinds[i % len(kinds)], 10 * i, 10 * i + 8)
         for i in range(ops_count)
     ]
-    trace = SimpleNamespace(
-        recoveries=lambda: [_event((10 * i, 10 * i + 1))
-                            for i in range(0, ops_count, 50)],
-        kernels=lambda: [_event((10 * i + 2, 10 * i + 5))
-                         for i in range(ops_count)],
-        spans=SpanRecorder(),
-    )
+    trace = SimpleNamespace(spans=SpanRecorder())
+    for i in range(0, ops_count, 50):
+        trace.spans.record("retry", "recovery", 10 * i, 1)
+    for i in range(ops_count):
+        trace.spans.record("kernel", "gpu.compute", 10 * i + 2, 3)
     for i in range(0, ops_count, 3):
         trace.spans.record("cudaLaunchKernel", "driver", 10 * i + 4, 3)
     outcomes = []
@@ -292,6 +296,133 @@ def test_fused_step_attribution(pipeline, faulty):
         assert sum(a.components.values()) == a.e2e_ns
         if a.ttft_ns is not None:
             assert sum(a.ttft_components.values()) == a.ttft_ns
+
+
+# -- differential: span-column attribution against derived events --------
+
+
+def _reference_timeline(ops, trace, horizon):
+    """The carve from derived events, ``flagged("crypto")`` and a
+    ``cudaLaunchKernel`` walk: the attribution's earlier formulation."""
+    gaps, by_base, cursor = [], {}, 0
+    for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
+        if op.end_ns <= op.start_ns:
+            continue
+        gaps.append((cursor, op.start_ns))
+        by_base.setdefault(OP_BASE_COMPONENT[op.kind], []).append(
+            (op.start_ns, op.end_ns)
+        )
+        cursor = op.end_ns
+    gaps.append((cursor, horizon))
+    return intervals.carve(0, horizon, [
+        ("other", gaps),
+        ("recovery", [(e.start_ns, e.end_ns) for e in trace.recoveries()]),
+        ("K", [(e.start_ns, e.end_ns) for e in trace.kernels()]),
+        ("E", trace.spans.flagged("crypto")),
+        ("L", [(s.start_ns, s.end_ns) for s in trace.spans
+               if s.name == "cudaLaunchKernel"]),
+        *by_base.items(),
+    ], "other")
+
+
+def _reference_spans(attributions, ops, recorder):
+    """One kwargs ``record()`` per telemetry span."""
+    for a in attributions:
+        attrs = {
+            "req": a.req_id, "tenant": a.tenant, "status": a.status,
+            "cause": a.cause, "admitted_ns": a.admitted_ns,
+            "first_token_ns": a.first_token_ns,
+            "prompt_tokens": a.prompt_tokens, "gen_tokens": a.gen_tokens,
+            "preemptions": a.preemptions,
+        }
+        for c in ATTRIBUTION_COMPONENTS:
+            attrs[f"c_{c}"] = a.components.get(c, 0)
+        for c in ATTRIBUTION_COMPONENTS:
+            attrs[f"f_{c}"] = a.ttft_components.get(c, 0)
+        root = recorder.record(
+            "request", "serve.req", a.arrival_ns, a.e2e_ns, **attrs
+        )
+        if a.components.get("queue", 0):
+            recorder.record("queued", "serve.req", a.arrival_ns,
+                            a.components["queue"], parent=root, req=a.req_id)
+        if a.admitted_ns is not None:
+            recorder.record("exec", "serve.req", a.admitted_ns,
+                            a.finish_ns - a.admitted_ns, parent=root,
+                            req=a.req_id)
+        if a.first_token_ns is not None:
+            recorder.record("first_token", "serve.req", a.first_token_ns, 0,
+                            parent=root, req=a.req_id)
+    for op in sorted(ops, key=lambda o: (o.start_ns, o.end_ns)):
+        recorder.record(op.kind, "serve.op", op.start_ns, op.duration_ns,
+                        reqs=",".join(str(r) for r in op.req_ids))
+
+
+def _rows(recorder):
+    shapes = [(s.name, s.layer, s.keys) for s in recorder._shape_list]
+    return list(recorder), shapes
+
+
+def _quick(config):
+    return lambda: run_scenario(QUICK, config, telemetry=True)
+
+
+def _tuned_faulty():
+    tuning = EngineTuning.parse("fusion+overlap:2+batch:4+staging")
+    return run_scenario(FAULTY, _faulty_config(), telemetry=True,
+                        tuning=tuning)
+
+
+def _parallel_cc():
+    spec = ClusterSpec(
+        scenario=ScenarioSpec(rate_rps=24.0, duration_ns=units.NS_PER_SEC // 4),
+        tp=2, pp=2,
+    )
+    return run_cluster(spec, SystemConfig.confidential(), telemetry=True)
+
+
+@pytest.mark.parametrize("run, recovers", [
+    pytest.param(_quick(SystemConfig.base()), False, id="quick-base"),
+    pytest.param(_quick(SystemConfig.confidential()), False, id="quick-cc"),
+    pytest.param(_tuned_faulty, True, id="tuned-faults"),
+    pytest.param(_parallel_cc, False, id="tp2-pp2"),
+])
+def test_attribution_matches_derived_event_reference(
+    run, recovers, monkeypatch
+):
+    real_attribute = cluster.attribute_requests
+    real_record = cluster.record_telemetry_spans
+    seen = []
+
+    def attribute(outcomes, tel, trace):
+        # Before any read that derives (and caches) the trace's events.
+        with monkeypatch.context() as patch:
+            patch.setattr(collector, "derive_events", _no_derived_events)
+            attributions = real_attribute(outcomes, tel, trace)
+            horizon = max([o.end_ns for o in tel.ops]
+                          + [o.finish_ns for o in outcomes])
+            timeline = component_timeline(tel.ops, trace, horizon)
+        if recovers:
+            assert trace.recoveries()
+        assert timeline == _reference_timeline(tel.ops, trace, horizon)
+        return attributions
+
+    def record(attributions, ops, trace):
+        rows = SimpleNamespace(spans=SpanRecorder())
+        real_record(attributions, ops, rows)
+        reference = SpanRecorder()
+        _reference_spans(attributions, ops, reference)
+        assert _rows(rows.spans) == _rows(reference)
+        seen.append(len(reference))
+        real_record(attributions, ops, trace)
+
+    monkeypatch.setattr(cluster, "attribute_requests", attribute)
+    monkeypatch.setattr(cluster, "record_telemetry_spans", record)
+    run()
+    assert len(seen) == 1 and seen[0] > 0
+
+
+def _no_derived_events(spans):
+    raise AssertionError("attribution derived trace events")
 
 
 # -- the tentpole invariants ----------------------------------------------

@@ -267,6 +267,24 @@ def test_release_past_zero_raises():
     assert res.in_use == 0
 
 
+def test_queued_request_released_twice_raises():
+    sim = Simulator()
+    res = Resource(sim)
+    holder = res.request()
+    queued = res.request()
+    other = res.request()
+    assert isinstance(queued, Request)
+    res.release(holder)  # hands the slot to ``queued``
+    sim.run()
+    res.release(queued)  # hands it on to ``other``
+    with pytest.raises(SimulationError, match="released twice"):
+        res.release(queued)
+    # The second release took nothing: ``other`` still holds the slot.
+    assert res.in_use == 1
+    res.release(other)
+    assert res.in_use == 0
+
+
 # ---------------------------------------------------------------------------
 # End-to-end byte-identity: storm-heavy serving verdicts are pinned
 
