@@ -1,10 +1,10 @@
 """Interval arithmetic for timeline attribution.
 
-The performance model (Sec. V) needs to know how much of one activity
-class overlaps another (the alpha and beta_i parameters); the
-attribution views give each instant to one class by priority
-(:func:`carve`).  These helpers operate on half-open integer intervals
-[start, end).
+The attribution views — the Fig.-1 categories, the Sec.-V model parts
+and the serving components — give each instant to one activity class
+by priority (:func:`carve`); the model's per-kernel beta_i measures one
+interval against a union (:func:`overlap_with_union`).  These helpers
+operate on half-open integer intervals [start, end).
 """
 
 from __future__ import annotations
@@ -29,13 +29,9 @@ def merge(intervals: Iterable[Interval]) -> List[Interval]:
     return merged
 
 
-def total_length(merged_intervals: Sequence[Interval]) -> int:
-    """Sum of lengths of a disjoint interval list."""
-    return sum(end - start for start, end in merged_intervals)
-
-
 def union_length(intervals: Iterable[Interval]) -> int:
-    return total_length(merge(intervals))
+    """Length of the union of intervals."""
+    return sum(end - start for start, end in merge(intervals))
 
 
 def overlap_with_union(
@@ -51,39 +47,6 @@ def overlap_with_union(
             break
         covered += min(end, m_end) - max(start, m_start)
     return covered
-
-
-def union_overlap(
-    intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
-) -> int:
-    """Length of intersection of two interval unions."""
-    merged_b = merge(intervals_b)
-    return sum(
-        overlap_with_union(interval, merged_b) for interval in merge(intervals_a)
-    )
-
-
-def subtract(
-    intervals_a: Iterable[Interval], intervals_b: Iterable[Interval]
-) -> List[Interval]:
-    """Portions of union(a) not covered by union(b)."""
-    result: List[Interval] = []
-    merged_b = merge(intervals_b)
-    for start, end in merge(intervals_a):
-        cursor = start
-        for b_start, b_end in merged_b:
-            if b_end <= cursor:
-                continue
-            if b_start >= end:
-                break
-            if b_start > cursor:
-                result.append((cursor, min(b_start, end)))
-            cursor = max(cursor, b_end)
-            if cursor >= end:
-                break
-        if cursor < end:
-            result.append((cursor, end))
-    return result
 
 
 def carve(

@@ -5,19 +5,24 @@ End-to-end application time P decomposes into four parts:
     P = (1 - alpha) * T_mem                       (A: data transfer)
       + sum_i (KLO_i + LQT_i)                     (B: launch + queuing)
       + sum_i (1 - beta_i) * (KET_i + KQT_i)      (C: execution + queuing)
-      + T_other                                   (D: alloc/free/sync)
+      + T_other                                   (D: alloc/free/sync/recovery)
 
-``alpha`` is the fraction of memory-copy time hidden under other
-activity (raised by CUDA streams, Sec. VII-A); ``beta_i`` is the
-fraction of kernel i's (KET+KQT) interval hidden under part B — for a
-kernel fully covered by concurrent launch activity beta_i = 1 and it
+``alpha`` is the fraction of memory-copy time hidden under parts B
+and C (raised by CUDA streams, Sec. VII-A); ``beta_i`` is the fraction
+of kernel i's (KET+KQT) interval hidden under part B — for a kernel
+fully covered by concurrent launch activity beta_i = 1 and it
 contributes nothing beyond the launches themselves (the low-KLR
-regime of Observation 6).
+regime of Observation 6).  ``T_other`` is the alloc, free, sync and
+fault-recovery time under none of A–C.
 
-:func:`decompose` measures all parameters from a trace; the resulting
+:func:`decompose` measures all parameters from one
+:func:`~repro.core.breakdown.activity` read of a trace, carved with the
+priority B > C > A > D — the Fig.-1 categories are the same read
+carved with another priority.  The resulting
 :class:`ModelDecomposition` both *predicts* P and reports the part
-totals the figures use.  Prediction quality against the simulated
-wall-clock is validated in the Fig. 3 bench.
+totals the figures use.  Since the four parts and the uncovered
+``idle`` time partition the span, the Fig.-3 prediction error is minus
+the idle share by construction.
 """
 
 from __future__ import annotations
@@ -26,8 +31,9 @@ from dataclasses import dataclass
 from typing import List
 
 from .. import units
-from ..profiler import EventKind, Trace
+from ..profiler import Trace
 from . import intervals
+from .breakdown import activity
 
 
 @dataclass(frozen=True)
@@ -40,7 +46,7 @@ class ModelDecomposition:
     part_c_raw_ns: int  # sum(KET + KQT), before beta discount
     part_c_ns: int  # sum((1 - beta_i) (KET_i + KQT_i))
     betas: List[float]
-    t_other_ns: int  # alloc + free + non-overlapped sync + recovery
+    t_other_ns: int  # alloc + free + sync + recovery under none of A-C
     span_ns: int  # observed wall-clock span of the trace
     t_recovery_ns: int = 0  # fault-recovery time (union; subset of D)
 
@@ -88,80 +94,53 @@ class ModelDecomposition:
 def decompose(trace: Trace) -> ModelDecomposition:
     """Measure the Sec.-V model parameters from a trace.
 
-    Part totals are computed over interval *unions*: when kernels are
-    strictly sequential (the paper's Fig.-3 setting) the union equals
-    the paper's per-kernel sum, and when deep launch queues make
-    (KET+KQT) intervals overlap — e.g. 254 back-to-back 3dconv
-    launches all queued at once — the union avoids double-counting the
-    shared waiting time.  The reported ``betas`` keep the paper's
-    per-kernel definition: the fraction of kernel i's (KET+KQT)
-    interval hidden under part B.
+    Carves one :func:`~repro.core.breakdown.activity` read of the span
+    with the priority B (launch windows incl. LQT) > C (kernel windows
+    incl. KQT) > A (copies) > D (alloc/free, sync, recovery), the rest
+    ``idle``.  Each instant lands in at most one part: an alloc or sync
+    under kernel, copy or other D time counts once, and a queue window
+    that starts before the first event is clipped to the span.  So
+    A + B + C + D + ``idle`` is the span, and the prediction error is
+    minus the idle share, within the 1 ns ``part_a_ns`` may round off.
+
+    Unions match the paper's per-kernel sums when kernels run strictly
+    in sequence (Fig. 3) and do not double-count shared waiting when
+    deep launch queues overlap (KET+KQT) windows, e.g. 254 queued
+    3dconv launches.  ``betas`` keep the paper's per-kernel definition:
+    the share of kernel i's (KET+KQT) window under part B.
     """
-    mem_iv = [(e.start_ns, e.end_ns) for e in trace.memcpys()]
-    launch_iv = [
-        (e.start_ns - e.queue_ns, e.end_ns) for e in trace.launches()
+    lo, hi, raw = activity(trace)
+    launch_iv = raw["launch_queue"] + raw["launch"]
+    kernel_windows = [
+        (queued, end)
+        for (queued, _), (_, end) in zip(raw["kernel_queue"], raw["kernel"])
     ]
-    kernel_iv = [
-        (e.start_ns - e.queue_ns, e.end_ns) for e in trace.kernels()
+    layers = [
+        ("B", launch_iv),
+        ("C", kernel_windows),
+        ("A", raw["copy"]),
+        ("D", raw["mgmt"] + raw["sync"] + raw["recovery"]),
     ]
-    mgmt_iv = [
-        (e.start_ns, e.end_ns)
-        for e in trace.of_kind(EventKind.ALLOC) + trace.of_kind(EventKind.FREE)
-    ]
-    sync_iv = [(e.start_ns, e.end_ns) for e in trace.of_kind(EventKind.SYNC)]
-    recovery_iv = [
-        (e.start_ns, e.end_ns) for e in trace.of_kind(EventKind.RECOVERY)
-    ]
+    parts = {"A": 0, "B": 0, "C": 0, "D": 0, "idle": 0}
+    for start, end, part in intervals.carve(lo, hi, layers, "idle"):
+        parts[part] += end - start
 
-    # --- part A: memory time and its hidden fraction alpha -------------
-    t_mem = intervals.union_length(mem_iv)
-    hiders = launch_iv + kernel_iv
-    alpha = (
-        intervals.union_overlap(mem_iv, hiders) / t_mem if t_mem > 0 else 0.0
-    )
-
-    # --- part B: launch activity (union == sum for one CPU thread) -----
+    t_mem = intervals.union_length(raw["copy"])
     merged_launch = intervals.merge(launch_iv)
-    part_b = intervals.total_length(merged_launch)
-
-    # --- part C: kernel (KET+KQT) activity not hidden under part B -----
-    betas: List[float] = []
-    part_c_raw = 0
-    for start, end in kernel_iv:
-        length = end - start
-        part_c_raw += length
-        if length <= 0:
-            betas.append(0.0)
-            continue
-        betas.append(
-            intervals.overlap_with_union((start, end), merged_launch) / length
-        )
-    part_c = intervals.total_length(
-        intervals.subtract(kernel_iv, merged_launch)
-    )
-
-    # --- part D: management plus sync not already hidden above ---------
-    mgmt_total = intervals.union_length(mgmt_iv)
-    sync_exposed = intervals.total_length(
-        intervals.subtract(sync_iv, kernel_iv + launch_iv + mem_iv)
-    )
-    # Fault-recovery time not hidden under real work also lands in D —
-    # empty under an inactive fault plan, so nothing changes there.
-    recovery_exposed = intervals.total_length(
-        intervals.subtract(
-            recovery_iv, kernel_iv + launch_iv + mem_iv + mgmt_iv + sync_iv
-        )
-    )
-    t_other = mgmt_total + sync_exposed + recovery_exposed
-
+    betas = [
+        intervals.overlap_with_union((start, end), merged_launch) / (end - start)
+        if end > start
+        else 0.0
+        for start, end in kernel_windows
+    ]
     return ModelDecomposition(
         t_mem_ns=t_mem,
-        alpha=alpha,
-        part_b_ns=part_b,
-        part_c_raw_ns=part_c_raw,
-        part_c_ns=part_c,
+        alpha=(t_mem - parts["A"]) / t_mem if t_mem > 0 else 0.0,
+        part_b_ns=parts["B"],
+        part_c_raw_ns=sum(end - start for start, end in kernel_windows),
+        part_c_ns=parts["C"],
         betas=betas,
-        t_other_ns=t_other,
-        span_ns=trace.span_ns(),
-        t_recovery_ns=intervals.union_length(recovery_iv),
+        t_other_ns=parts["D"],
+        span_ns=hi - lo,
+        t_recovery_ns=intervals.union_length(raw["recovery"]),
     )

@@ -327,11 +327,13 @@ def diff(
 ) -> TraceDiff:
     """Attribute the CC-on vs CC-off gap to the Sec.-V model terms.
 
-    Components are measured per side with :func:`model_components`;
-    the drift check validates that the model prediction P = A+B+C+D
-    reproduces each side's observed span within ``tolerance``
-    (flagging ``model:base`` / ``model:cc`` otherwise), so a diff row
-    can be trusted as genuine attribution rather than model error.
+    Components are measured per side with :func:`model_components`.
+    The drift check flags ``model:base`` / ``model:cc`` when the model
+    prediction P = A+B+C+D misses that side's observed span by more
+    than ``tolerance``.  As A–D and the uncovered ``idle`` time
+    partition the span, that miss is the idle share (within 1 ns): the
+    flag fires when more than ``tolerance`` of a side's span is time no
+    launch, kernel, copy, alloc, sync or recovery covers.
     """
     base_comps = model_components(base_trace)
     cc_comps = model_components(cc_trace)

@@ -1,5 +1,7 @@
 """Unit + property tests for interval arithmetic."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,22 +31,42 @@ def test_overlap_with_union():
     assert intervals.overlap_with_union((-5, 40), merged) == 20
 
 
+def _totals(lo, hi, layers):
+    """Per-label lengths of ``carve(lo, hi, layers, "rest")``."""
+    totals = Counter()
+    for start, end, label in intervals.carve(lo, hi, layers, "rest"):
+        totals[label] += end - start
+    return totals
+
+
+def _subtract(a, b):
+    """A \\ B as a carve: with B ranked first, A keeps what B leaves."""
+    return [
+        (start, end)
+        for start, end, label in intervals.carve(
+            -100, 1100, [("b", b), ("a", a)], "rest"
+        )
+        if label == "a"
+    ]
+
+
 def test_union_overlap():
+    # |A n B| = |A| - |A \ B|.
     a = [(0, 10), (20, 30)]
     b = [(5, 25)]
-    assert intervals.union_overlap(a, b) == 10
+    assert intervals.union_length(a) - _totals(0, 30, [("b", b), ("a", a)])["a"] == 10
 
 
 def test_subtract_middle():
-    assert intervals.subtract([(0, 10)], [(3, 7)]) == [(0, 3), (7, 10)]
+    assert _subtract([(0, 10)], [(3, 7)]) == [(0, 3), (7, 10)]
 
 
 def test_subtract_all():
-    assert intervals.subtract([(0, 10)], [(0, 10)]) == []
+    assert _subtract([(0, 10)], [(0, 10)]) == []
 
 
 def test_subtract_none():
-    assert intervals.subtract([(0, 10)], [(20, 30)]) == [(0, 10)]
+    assert _subtract([(0, 10)], [(20, 30)]) == [(0, 10)]
 
 
 def test_carve_priority_gaps_and_coalescing():
@@ -78,20 +100,29 @@ interval_list = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(a=interval_list, b=interval_list)
 def test_property_inclusion_exclusion(a, b):
-    # |A u B| = |A| + |B| - |A n B| over interval unions.
-    union_all = intervals.union_length(a + b)
+    # |A u B| = |A| + |B| - |A n B|, where either carve order gives
+    # the same |A n B|: |A| - |A \ B| = |B| - |B \ A|.
     len_a = intervals.union_length(a)
     len_b = intervals.union_length(b)
-    inter = intervals.union_overlap(a, b)
-    assert union_all == len_a + len_b - inter
+    a_first = _totals(0, 1000, [("a", a), ("b", b)])
+    b_first = _totals(0, 1000, [("b", b), ("a", a)])
+    assert (a_first["a"], b_first["b"]) == (len_a, len_b)
+    inter = len_a - b_first["a"]
+    assert inter == len_b - a_first["b"]
+    assert intervals.union_length(a + b) == len_a + len_b - inter
 
 
 @settings(max_examples=80, deadline=None)
 @given(a=interval_list, b=interval_list)
 def test_property_subtract_partitions(a, b):
-    # |A \ B| + |A n B| = |A|.
-    diff = intervals.total_length(intervals.subtract(a, b))
-    inter = intervals.union_overlap(a, b)
+    # |A \ B| + |A n B| = |A|, with A \ B what the carve leaves A
+    # under B and A n B counted per nanosecond.
+    diff = intervals.union_length(_subtract(a, b))
+    inter = sum(
+        1
+        for t in range(1000)
+        if any(s <= t < e for s, e in a) and any(s <= t < e for s, e in b)
+    )
     assert diff + inter == intervals.union_length(a)
 
 

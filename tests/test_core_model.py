@@ -6,14 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import units
-from repro.config import SystemConfig
+from repro.config import SystemConfig, resolve_system_configs
 from repro.core import breakdown, decompose, kernel_to_launch_ratio
 from repro.core.breakdown import CATEGORIES
 from repro.core.metrics import copy_time_by_kind, launch_metrics, mgmt_time_by_api
 from repro.config import CopyKind
-from repro.cuda import run_app
+from repro.cuda import Machine, run_app
+from repro.figures.ext_fault_serving import fault_plan_for
 from repro.gpu import nanosleep_kernel
 from repro.profiler import EventKind, Trace, TraceEvent
+from repro.workloads import CATALOG
 
 
 def sequential_app(rt):
@@ -180,9 +182,22 @@ _recorded_event = st.builds(
 )
 
 
-def _paint_categories(events):
+#: The Fig.-1 priority: each category claims time on its own.
+_BREAKDOWN_PRIORITY = tuple((c, (c,)) for c in CATEGORIES[:-1])
+
+#: The Sec.-V priority: parts B > C > A > D over the same categories.
+_MODEL_PRIORITY = (
+    ("B", ("launch", "launch_queue")),
+    ("C", ("kernel", "kernel_queue")),
+    ("A", ("copy",)),
+    ("D", ("mgmt", "sync", "recovery")),
+)
+
+
+def _paint_categories(events, priority=_BREAKDOWN_PRIORITY):
     """Per-nanosecond reference: each instant of the span goes to the
-    first category in CATEGORIES whose raw intervals cover it."""
+    first ``(label, categories)`` of ``priority`` whose raw intervals
+    cover it, and to ``idle`` when none does."""
     raw = {category: [] for category in CATEGORIES}
     for event in events:
         category, queue_category = _EVENT_CATEGORIES[event.kind]
@@ -193,23 +208,71 @@ def _paint_categories(events):
             )
     span_start = min(e.start_ns for e in events)
     span_end = max(e.end_ns for e in events)
-    painted = Counter({category: 0 for category in CATEGORIES})
+    painted = Counter({label: 0 for label, _ in priority})
+    painted["idle"] = 0
     for t in range(span_start, span_end):
         painted[next(
-            (c for c in CATEGORIES if any(s <= t < e for s, e in raw[c])),
+            (
+                label for label, categories in priority
+                if any(s <= t < e for c in categories for s, e in raw[c])
+            ),
             "idle",
         )] += 1
     return dict(painted)
 
 
-@settings(max_examples=150, deadline=None)
-@given(events=st.lists(_recorded_event, min_size=1, max_size=12))
-def test_property_breakdown_matches_per_nanosecond_painter(events):
+def _trace_of(events):
     trace = Trace()
     for event in events:
         trace.add(event)
+    return trace
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(_recorded_event, min_size=1, max_size=12))
+def test_property_breakdown_matches_per_nanosecond_painter(events):
+    trace = _trace_of(events)
     result = breakdown(trace)
     assert result.span_ns == trace.span_ns()
     assert all(v >= 0 for v in result.by_category_ns.values())
     assert sum(result.by_category_ns.values()) == result.span_ns
     assert result.by_category_ns == _paint_categories(events)
+
+
+@settings(max_examples=150, deadline=None)
+@given(events=st.lists(_recorded_event, min_size=1, max_size=12))
+def test_property_decompose_matches_per_nanosecond_painter(events):
+    trace = _trace_of(events)
+    deco = decompose(trace)
+    painted = _paint_categories(events, _MODEL_PRIORITY)
+    assert deco.span_ns == trace.span_ns()
+    assert (deco.part_b_ns, deco.part_c_ns, deco.t_other_ns) == (
+        painted["B"], painted["C"], painted["D"],
+    )
+    # alpha is the share of T_mem that B or C claims.
+    assert deco.t_mem_ns - round(deco.alpha * deco.t_mem_ns) == painted["A"]
+    assert deco.part_a_ns == int((1 - deco.alpha) * deco.t_mem_ns)
+    # A + B + C + D + idle is the span, less the 1 ns part A may round off.
+    assert deco.span_ns - deco.predicted_ns - painted["idle"] in (0, 1)
+
+
+def test_model_parts_and_idle_partition_every_catalogue_span():
+    # The Sec.-V parts and the Fig.-1 idle time are two carves of one
+    # read: P + idle is the span, less the 1 ns part A may round off.
+    recovered = 0
+    for plan in (None, fault_plan_for(0.05)):
+        for name, info in CATALOG.items():
+            for cc in (False, True):
+                config = resolve_system_configs(cc=cc, seed=42)
+                if plan is not None:
+                    config = config.replace(faults=plan)
+                for uvm in (False, True):
+                    machine = Machine(config, label=name)
+                    machine.run(info.app(uvm))
+                    deco = decompose(machine.trace)
+                    idle = breakdown(machine.trace).by_category_ns["idle"]
+                    gap = deco.span_ns - deco.predicted_ns - idle
+                    assert gap in (0, 1), (name, cc, uvm, plan, gap)
+                    if plan is not None and deco.t_recovery_ns > 0:
+                        recovered += 1
+    assert recovered > 0

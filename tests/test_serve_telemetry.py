@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro import units
 from repro.config import SystemConfig
 from repro.core import intervals
-from repro.core.intervals import merge, subtract
+from repro.core.intervals import carve, merge
 from repro.faults import FaultPlan
 from repro.figures.ext_fault_serving import fault_plan_for
 from repro.figures.ext_fault_serving import spec_for as fault_spec_for
@@ -96,10 +96,11 @@ def base_run():
 def test_interval_helpers():
     # The attribution's interval algebra is repro.core.intervals.
     assert merge([(5, 9), (0, 3), (2, 4), (7, 7)]) == [(0, 4), (5, 9)]
-    assert subtract([(0, 10)], [(2, 4), (6, 8)]) == [
-        (0, 2), (4, 6), (8, 10),
+    assert carve(0, 10, [("busy", [(2, 4), (6, 8)])], "gap") == [
+        (0, 2, "gap"), (2, 4, "busy"), (4, 6, "gap"),
+        (6, 8, "busy"), (8, 10, "gap"),
     ]
-    assert subtract([(0, 10)], [(0, 10)]) == []
+    assert carve(0, 10, [("busy", [(0, 10)])], "gap") == [(0, 10, "busy")]
 
 
 def test_component_timeline_gap_fill_and_overlap_rejection():
